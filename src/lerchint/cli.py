@@ -152,16 +152,25 @@ def _cmd_phi(args: argparse.Namespace) -> tuple[dict, int]:
     )
 
 
+def _add_exponent_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--u")
+    parser.add_argument("--v")
+    for i in range(1, _MAX_US + 1):
+        parser.add_argument(f"--u{i}", help=argparse.SUPPRESS)
+
+
+def _indexed_exponents(args: argparse.Namespace) -> list:
+    """The exponents given as --u1 ... --u20, in index order."""
+    vals = (getattr(args, f"u{i}") for i in range(1, _MAX_US + 1))
+    return [parse_complex(val) for val in vals if val is not None]
+
+
 def _spec_from_flags(args: argparse.Namespace) -> IntegrandSpec:
     family = _THEOREM_TO_FAMILY[args.theorem]
     z = parse_complex(args.z)
     s = parse_complex(args.s)
     if family == FAMILY_DISTINCT:
-        exps = []
-        for i in range(1, _MAX_US + 1):
-            val = getattr(args, f"u{i}", None)
-            if val is not None:
-                exps.append(parse_complex(val))
+        exps = _indexed_exponents(args)
         if args.u is not None and not exps:
             exps = [parse_complex(args.u)]
         if not exps:
@@ -259,11 +268,7 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         if args.family is None:
             raise DomainError("reduce needs --spec FILE or inline --family flags")
-        exps = []
-        for i in range(1, _MAX_US + 1):
-            val = getattr(args, f"u{i}", None)
-            if val is not None:
-                exps.append(parse_complex(val))
+        exps = _indexed_exponents(args)
         if args.u is not None:
             exps.insert(0, parse_complex(args.u))
         if args.v is not None:
@@ -306,10 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--m", type=int, required=True)
     p_ver.add_argument("--z", required=True)
     p_ver.add_argument("--s", required=True)
-    p_ver.add_argument("--u")
-    p_ver.add_argument("--v")
-    for i in range(1, _MAX_US + 1):
-        p_ver.add_argument(f"--u{i}", help=argparse.SUPPRESS)
+    _add_exponent_flags(p_ver)
     p_ver.add_argument("--tol", type=float, default=1e-10)
     p_ver.add_argument("--qmc", action=argparse.BooleanOptionalAction, default=False)
     p_ver.add_argument("--qmc-points", type=int, default=65536)
@@ -331,10 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_red.add_argument("--m", type=int, default=2)
     p_red.add_argument("--z", default="0")
     p_red.add_argument("--s", default="1")
-    p_red.add_argument("--u")
-    p_red.add_argument("--v")
-    for i in range(1, _MAX_US + 1):
-        p_red.add_argument(f"--u{i}", help=argparse.SUPPRESS)
+    _add_exponent_flags(p_red)
     p_red.add_argument("--evaluate", action="store_true", help="also integrate the reduction")
     p_red.add_argument("--tol", type=float, default=1e-10)
 

@@ -26,12 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import qmc as qmc_mod
 from .errors import DomainError
-from .identities import QmcOptions
+from .identities import QmcOptions, build_integrand
 from .quad1d import tanh_sinh
+from .simplex import FAMILY_THEOREM4, IntegrandSpec
 
 NAME_EULER_GAMMA = "euler-gamma"
 NAME_LN_4_OVER_PI = "ln-4-over-pi"
@@ -44,7 +43,6 @@ METHOD_REDUCED = "reduced"
 METHOD_QMC = "qmc"
 
 _SERIES_CUT = 1e-4
-_CORNER_CUT = 1e-12  # below this 1-prod(x) switches to its leading term
 
 # Taylor coefficients of G(d) = 1/d + 1/ln(1-d) = 1/2 + d/12 + d^2/24 + ...
 _G_SERIES = (0.5, 1.0 / 12.0, 1.0 / 24.0, 19.0 / 720.0, 3.0 / 160.0, 863.0 / 60480.0)
@@ -109,35 +107,10 @@ def _check_m(m: int) -> None:
 def theorem4_corner_integrand(m: int, z: complex):
     """(m-1 - x1 - ...)/((1 - z prod x)(-ln prod x)^(m-1)) on (0,1)^m.
 
-    Stable through the prod(x) -> 1 corner: every 1 - partial-product is
-    -expm1(sum of logs), and for z = 1 points with 1 - prod(x) below 1e-12
-    use the analytic limit of the ratio (replace each 1 - P by -ln P).
+    The theorem4-kernel integrand at u = 1, s = 1 - m; see build_integrand
+    for its behaviour through the prod(x) -> 1 corner.
     """
-    z = complex(z)
-    z_one = abs(z - 1.0) <= 1e-14
-
-    def f(pts):
-        x = np.asarray(pts, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        lcum = np.cumsum(np.log(x), axis=1)
-        ltot = lcum[:, -1]
-        num = (-np.expm1(lcum[:, :-1])).sum(axis=1)
-        log_pow = (-ltot) ** (m - 1)
-        if z_one:
-            one_minus = -np.expm1(ltot)
-            corner = one_minus < _CORNER_CUT
-            if np.any(corner):
-                num = np.where(corner, (-lcum[:, :-1]).sum(axis=1), num)
-                one_minus = np.where(corner, -ltot, one_minus)
-            vals = num / (one_minus * log_pow)
-        else:
-            vals = num / ((1.0 - z * np.exp(ltot)) * log_pow)
-        vals = vals.astype(complex) if np.iscomplexobj(vals) else vals
-        return vals[0] if single else vals
-
-    return f
+    return build_integrand(IntegrandSpec(m, FAMILY_THEOREM4, (1.0,), z, 1 - m))
 
 
 def _constant(

@@ -33,25 +33,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmc as qmc_mod
-from .errors import CancellationWarning, DegeneracyError, DomainError
+from .errors import CancellationWarning, DomainError
 from .lerch import LerchArgs, phi
-from .quad1d import QuadResult, reduced_eval
+from .quad1d import QuadResult, is_one, reduced_eval
 from .simplex import (
     FAMILY_DISTINCT,
     FAMILY_F_KERNEL,
     FAMILY_SYMMETRIC,
     FAMILY_THEOREM4,
     IntegrandSpec,
+    _check_distinct,
     reduce,
 )
 from .special import gamma
 
 _DEFAULT_PHI_TOL = 1e-13
 _HURWITZ_MARGIN = 1.05  # smallest Re of a Phi first argument allowed at z=1
-
-
-def _is_one(z: complex) -> bool:
-    return abs(z - 1.0) <= 1e-14
 
 
 @dataclass(frozen=True)
@@ -82,8 +79,7 @@ def rhs_theorem3_pair(
     if m < 2:
         raise DomainError("pair form needs m > 1")
     u, v, z, s = complex(u), complex(v), complex(z), complex(s)
-    if abs(u - v) < 1e-6:
-        raise DegeneracyError(f"|u - v| = {abs(u - v):.2e} too small")
+    _check_distinct((u, v))
     if abs(u - v) < 1e-3:
         warnings.warn(
             f"difference quotient at |u-v|={abs(u - v):.2e} loses about "
@@ -91,7 +87,7 @@ def rhs_theorem3_pair(
             CancellationWarning,
             stacklevel=2,
         )
-    if _is_one(z) and (s + m - 1).real <= _HURWITZ_MARGIN:
+    if is_one(z) and (s + m - 1).real <= _HURWITZ_MARGIN:
         raise DomainError(
             f"z=1 pair form needs Re(s+m-1) > {_HURWITZ_MARGIN}, got s={s}, m={m}"
         )
@@ -111,7 +107,7 @@ def rhs_theorem3_symmetric(
     if m < 1:
         raise DomainError("need m >= 1")
     z, s, u = complex(z), complex(s), complex(u)
-    if _is_one(z) and (s + m).real <= _HURWITZ_MARGIN:
+    if is_one(z) and (s + m).real <= _HURWITZ_MARGIN:
         raise DomainError(f"z=1 symmetric form needs Re(s+m) > {_HURWITZ_MARGIN}")
     cf = ClosedForm(
         terms=((1.0 / math.factorial(m - 1), s + m, LerchArgs(z, s + m, u)),)
@@ -134,7 +130,7 @@ def rhs_theorem4(
         raise DomainError("closed form divides by z; z too close to 0")
     if abs(s + m - 1) < 1e-9:
         raise DomainError("closed form divides by s+m-1; too close to 0")
-    if _is_one(z) and (s + m - 1).real <= _HURWITZ_MARGIN:
+    if is_one(z) and (s + m - 1).real <= _HURWITZ_MARGIN:
         raise DomainError(f"z=1 form needs Re(s+m-1) > {_HURWITZ_MARGIN}")
     pref = 1.0 / math.factorial(m - 2)
     denom = z * (s + m - 1)
@@ -155,12 +151,11 @@ def rhs_theorem5(us, z: complex, s: complex, tol: float = _DEFAULT_PHI_TOL) -> c
     if not us:
         raise DomainError("need at least one exponent")
     z, s = complex(z), complex(s)
-    for i in range(len(us)):
-        for j in range(i + 1, len(us)):
-            if abs(us[i] - us[j]) < 1e-6:
-                raise DegeneracyError(f"exponents {us[i]} and {us[j]} too close")
-    if _is_one(z) and (s + 1).real <= _HURWITZ_MARGIN:
+    _check_distinct(us)
+    if is_one(z) and (s + 1).real <= _HURWITZ_MARGIN:
         raise DomainError(f"z=1 needs Re(s+1) > {_HURWITZ_MARGIN}")
+    # The Lagrange product is transcribed here on purpose: the closed forms
+    # stay independent of simplex.reduce, or verification would be circular.
     terms = []
     for i, ui in enumerate(us):
         denom = 1.0 + 0j
@@ -185,13 +180,19 @@ def build_integrand(spec: IntegrandSpec):
     """Vectorized integrand over (0,1)^m for the spec's family.
 
     The returned callable accepts an (n, m) array (or a length-m point) and
-    returns complex values.  Products of coordinates enter through sums of
+    returns float64 values when z, s and the exponents are all real, complex
+    values otherwise.  Products of coordinates enter through sums of
     logs, and for z = 1 the 1 - prod(x) factor is computed as -expm1(sum of
     logs), so the integrand stays finite and accurate up to the cube's
     corner at machine precision.
     """
-    m, z, s = spec.m, spec.z, spec.s
-    z_one = _is_one(z)
+    m = spec.m
+    z_one = is_one(spec.z)
+    params = (spec.z, spec.s) + spec.exponents
+    if all(p.imag == 0.0 for p in params):
+        # real inputs run the same expressions in float64
+        params = tuple(p.real for p in params)
+    z, s, exps = params[0], params[1], params[2:]
 
     def f(pts):
         x = np.asarray(pts, dtype=float)
@@ -204,17 +205,17 @@ def build_integrand(spec: IntegrandSpec):
         lcum = np.cumsum(lx, axis=1)
         ltot = lcum[:, -1]
         if spec.family == FAMILY_DISTINCT:
-            weights = np.array(spec.exponents) - 1.0
+            weights = np.array(exps) - 1.0
             num = np.exp(lx @ weights)
         elif spec.family == FAMILY_SYMMETRIC:
-            num = np.exp((spec.u - 1.0) * ltot)
+            num = np.exp((exps[0] - 1.0) * ltot)
         elif spec.family == FAMILY_F_KERNEL:
-            u, v = spec.exponents
+            u, v = exps
             partial = np.exp((u - v) * lcum[:, :-1]).sum(axis=1)
             num = np.exp((v - 1.0) * ltot) * partial
         else:  # theorem4-kernel: m-1 - x1 - x1x2 - ... = sum(1 - partial products)
             gaps = -np.expm1(lcum[:, :-1])
-            num = gaps.sum(axis=1) * np.exp((spec.u - 1.0) * ltot)
+            num = gaps.sum(axis=1) * np.exp((exps[0] - 1.0) * ltot)
         if z_one:
             den = -np.expm1(ltot)
         else:

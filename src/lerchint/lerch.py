@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from . import quad1d
 from .compsum import CompensatedSum
 from .errors import ConvergenceError, DomainError
+from .quad1d import is_one
 from .special import (
     METHOD_DIRECT_SERIES,
     METHOD_QUADRATURE_FALLBACK,
@@ -33,10 +34,7 @@ from .special import (
 _EPS = 2.220446049250313e-16
 _SERIES_BUDGET = 200_000
 _SERIES_BUDGET_NEAR_DISK_EDGE = 2_000_000
-
-
-def _is_close(a: complex, b: complex, tol: float = 1e-14) -> bool:
-    return abs(a - b) <= tol
+_DISK_EDGE = 1.0 - 1e-14  # phi sums |z| at or above this as a unit-circle point
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,7 @@ class LerchArgs:
         object.__setattr__(self, "u", complex(self.u))
         if self.u.real <= 0.0:
             raise DomainError(f"need Re u > 0, got u={self.u}")
-        if _is_close(self.z, 1.0):
+        if is_one(self.z):
             if self.s.real <= 1.0:
                 raise DomainError(f"z=1 needs Re s > 1, got s={self.s}")
         elif self.z.imag == 0.0 and self.z.real > 1.0:
@@ -65,13 +63,15 @@ def _series_tail_bound(z: complex, s: complex, u: complex, n_last: int) -> float
 
     Geometric bound for |z| < 1 (with the (u+n)^(-s) factor bounded through
     Re u + n for Re s >= 0, through |u+n| with a ratio correction for
-    Re s < 0) and an integral-comparison bound on the unit circle.
+    Re s < 0) and an integral-comparison bound on the unit circle.  The
+    split is phi's disk edge, so a circle point whose modulus rounds below
+    1 never divides by 1 - |z| ~ 1e-16.
     Infinity signals "cannot bound yet, keep summing".
     """
     az = abs(z)
     amp = math.exp(abs(s.imag) * 0.5 * math.pi)
     n1 = n_last + 1
-    if az < 1.0:
+    if az < _DISK_EDGE:
         if s.real >= 0.0:
             lead = az ** n1 * (u.real + n1) ** (-s.real)
             return amp * lead / (1.0 - az)
@@ -130,14 +130,14 @@ def phi(args: LerchArgs, tol: float = 1e-12, *, allow_quadrature: bool = False) 
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     z, s = args.z, args.s
-    if _is_close(z, 1.0):
+    if is_one(z):
         return hurwitz_zeta(s, args.u, tol)
-    if _is_close(z, -1.0):
+    if is_one(-z):
         return alt_lerch(s, args.u, tol)
     az = abs(z)
     if az <= 0.9:
         return _direct_series(args, tol, _SERIES_BUDGET)
-    if az < 1.0 - 1e-14:
+    if az < _DISK_EDGE:
         try:
             return _direct_series(args, tol, _SERIES_BUDGET_NEAR_DISK_EDGE)
         except ConvergenceError:

@@ -69,14 +69,15 @@ class KernelTerm:
         p = complex(self.p)
         if _on_real_ray_beyond_one(z):
             raise DomainError(f"kernel denominator vanishes on (0,1) for z={z}")
-        if _is_one(z):
+        if is_one(z):
             if p.real <= 0.0:
                 raise DomainError(f"kernel with z=1 needs Re p > 0, got p={p}")
         elif p.real <= -1.0:
             raise DomainError(f"kernel needs Re p > -1 at t=1, got p={p}")
 
 
-def _is_one(z: complex) -> bool:
+def is_one(z: complex) -> bool:
+    """The z = 1 predicate every module dispatches on."""
     return abs(z - 1.0) <= 1e-14
 
 
@@ -237,7 +238,7 @@ def _kernel_level_sum(nodes: _LevelNodes, w: complex, p: complex, z: complex):
     # weight * t^(w-1) * (-ln t)^p through one exponential: the product is
     # O(integrand mass) even where the factors individually overflow.
     a = (1.0 - w) * nodes.neg_log_t + p * ln_l + nodes.log_weight
-    if _is_one(z):
+    if is_one(z):
         # 1/(1-t) joins the exponential; subnormal 1-t never gets divided by
         vals = np.exp(a + nodes.neg_log_tc)
     else:

@@ -26,10 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad as _scipy_quad
-
 from .errors import ConvergenceError, DegeneracyError, DomainError
-from .quad1d import KernelTerm
+from .quad1d import KernelTerm, is_one
 
 FAMILY_DISTINCT = "distinct-exponents"
 FAMILY_SYMMETRIC = "symmetric"
@@ -48,8 +46,14 @@ def _exact_factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def _is_one(z: complex) -> bool:
-    return abs(z - 1.0) <= 1e-14
+def _check_distinct(us: tuple) -> None:
+    """Raise DegeneracyError when two exponents are closer than 1e-6."""
+    for i in range(len(us)):
+        for j in range(i + 1, len(us)):
+            if abs(us[i] - us[j]) < _SEPARATION:
+                raise DegeneracyError(
+                    f"exponents {us[i]} and {us[j]} closer than {_SEPARATION}"
+                )
 
 
 def _s_lower_bound(family: str, m: int, z_is_one: bool) -> float:
@@ -100,17 +104,10 @@ class IntegrandSpec:
             raise DomainError(f"all exponents need positive real part, got {exps}")
         if self.family in (FAMILY_F_KERNEL, FAMILY_THEOREM4) and self.m < 2:
             raise DomainError(f"family {self.family!r} needs m > 1")
-        if self.family == FAMILY_DISTINCT:
-            for i in range(len(exps)):
-                for j in range(i + 1, len(exps)):
-                    if abs(exps[i] - exps[j]) < _SEPARATION:
-                        raise DegeneracyError(
-                            f"exponents {exps[i]} and {exps[j]} closer than {_SEPARATION}"
-                        )
-        if self.family == FAMILY_F_KERNEL and abs(exps[0] - exps[1]) < _SEPARATION:
-            raise DegeneracyError(f"f-kernel needs |u - v| >= {_SEPARATION}, got {exps}")
+        if self.family in (FAMILY_DISTINCT, FAMILY_F_KERNEL):
+            _check_distinct(exps)
 
-        z_is_one = _is_one(self.z)
+        z_is_one = is_one(self.z)
         if not z_is_one and self.z.imag == 0.0 and self.z.real > 1.0:
             raise DomainError(f"z={self.z} lies on the real ray beyond 1")
         bound = _s_lower_bound(self.family, self.m, z_is_one)
@@ -178,13 +175,13 @@ def power_sum_simplex(k: int, alpha: complex, x: float) -> complex:
     return lead * (1.0 - x ** alpha) / alpha
 
 
-def _check_distinct(us: tuple) -> None:
-    for i in range(len(us)):
-        for j in range(i + 1, len(us)):
-            if abs(us[i] - us[j]) < _SEPARATION:
-                raise DegeneracyError(
-                    f"exponents {us[i]} and {us[j]} closer than {_SEPARATION}"
-                )
+def _lagrange_denominator(us: tuple, i: int) -> complex:
+    """prod_{j != i} (u_j - u_i), multiplied in index order."""
+    denom = 1.0 + 0j
+    for j, uj in enumerate(us):
+        if j != i:
+            denom *= uj - us[i]
+    return denom
 
 
 def distinct_exponent_simplex(us, x: float) -> complex:
@@ -198,11 +195,7 @@ def distinct_exponent_simplex(us, x: float) -> complex:
     last = us[-1]
     total = 0j
     for i, ui in enumerate(us):
-        denom = 1.0 + 0j
-        for j, uj in enumerate(us):
-            if j != i:
-                denom *= uj - ui
-        total += x ** (ui - last) / denom
+        total += x ** (ui - last) / _lagrange_denominator(us, i)
     return total
 
 
@@ -223,15 +216,8 @@ def lagrange_residual(us) -> float:
     last = us[-1]
     lhs = 0j
     for i in range(k):
-        denom = (us[i] - last) + 0j
-        for j in range(k):
-            if j != i:
-                denom *= us[j] - us[i]
-        lhs += 1.0 / denom
-    rhs = 1.0 + 0j
-    for j in range(k):
-        rhs *= us[j] - last
-    return abs(lhs - 1.0 / rhs)
+        lhs += 1.0 / ((us[i] - last) * _lagrange_denominator(us[:k], i))
+    return abs(lhs - 1.0 / _lagrange_denominator(us, k))
 
 
 def reduce(spec: IntegrandSpec) -> ReducedIntegrand:
@@ -268,14 +254,9 @@ def reduce(spec: IntegrandSpec) -> ReducedIntegrand:
     else:  # distinct exponents
         pref = 1.0
         us = spec.exponents
-        term_list = []
-        for i, ui in enumerate(us):
-            denom = 1.0 + 0j
-            for j, uj in enumerate(us):
-                if j != i:
-                    denom *= uj - ui
-            term_list.append(KernelTerm(1.0 / denom, ui, s, z))
-        terms = tuple(term_list)
+        terms = tuple(
+            KernelTerm(1.0 / _lagrange_denominator(us, i), ui, s, z) for i, ui in enumerate(us)
+        )
     return ReducedIntegrand(terms=terms, prefactor=pref)
 
 
@@ -293,6 +274,8 @@ def brute_simplex(k: int, g, x: float, tol: float = _BRUTE_TOL):
         raise DomainError("brute_simplex supports k in {1,2,3} only")
     if not 0.0 < x <= 1.0:
         raise DomainError(f"x must lie in (0,1], got {x}")
+
+    from scipy.integrate import quad as _scipy_quad  # test-only dependency
 
     probe = complex(g(tuple([min(1.0, x + 0.5 * (1.0 - x))] * k)))
     want_imag = abs(probe.imag) > 0.0

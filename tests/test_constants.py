@@ -125,11 +125,18 @@ class TestCornerGuard:
         expected = num / ((m * t) ** m)
         assert val == pytest.approx(expected, rel=1e-9)
 
-    def test_exact_ratio_far_from_corner(self):
-        f = theorem4_corner_integrand(2, 1.0)
-        x1, x2 = 0.3, 0.8
-        expected = (1.0 - x1) / ((1.0 - x1 * x2) * (-math.log(x1 * x2)))
-        assert float(f(np.array([x1, x2]))) == pytest.approx(expected, rel=1e-12)
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("z", [1.0, -1.0])
+    def test_exact_ratio_far_from_corner(self, z, m):
+        f = theorem4_corner_integrand(m, z)
+        x = [0.3, 0.8, 0.6, 0.9][:m]
+        partials = np.cumprod(x)
+        expected = (m - 1 - partials[:-1].sum()) / (
+            (1.0 - z * partials[-1]) * (-math.log(partials[-1])) ** (m - 1)
+        )
+        val = f(np.array(x))
+        assert val.dtype == np.float64
+        assert float(val) == pytest.approx(expected, rel=1e-12)
 
 
 class TestDomain:

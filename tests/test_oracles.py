@@ -8,6 +8,7 @@ algorithm with mpmath's Lerch evaluator, which integrates a Hankel-type
 contour representation.
 """
 
+import cmath
 import math
 
 import pytest
@@ -55,6 +56,15 @@ def test_phi_matches_mpmath(z, s, u):
     ref = mp_lerch(z, s, u)
     assert abs(ours.value - ref) <= 1e-10 * (1.0 + abs(ref)), f"method={ours.method}"
     assert abs(ours.value - ref) <= 4.0 * ours.abs_err + 1e-13  # error honesty
+
+
+def test_phi_near_circle_modulus_below_one():
+    # |exp(0.36i)| rounds below 1.0: the tail bound must still take the
+    # unit-circle branch phi dispatches on, not divide by 1 - |z| ~ 1e-16
+    z, s, u = cmath.exp(0.36j), 3.0, 0.7
+    assert abs(z) < 1.0
+    ours = phi(LerchArgs(z, s, u), tol=1e-10)
+    assert abs(ours.value - mp_lerch(z, s, u)) <= ours.abs_err
 
 
 def test_hurwitz_matches_mpmath():

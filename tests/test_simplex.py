@@ -1,10 +1,14 @@
 """Simplex closed forms vs the nested-quadrature oracle, plus reductions."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lerchint
 from lerchint import (
     DegeneracyError,
     DomainError,
@@ -137,6 +141,15 @@ class TestBruteOracleAgreement:
     def test_k_out_of_range(self):
         with pytest.raises(DomainError):
             brute_simplex(4, lambda t: 1.0, 0.5)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy backs only the brute_simplex oracle; the runtime needs numpy alone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lerchint.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, lerchint; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestIntegrandSpecValidation:
