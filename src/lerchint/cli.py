@@ -101,10 +101,18 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _check_points(points: int) -> int:
+def _add_qmc_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--qmc-points", type=int, default=65536)
+    parser.add_argument("--qmc-replicates", type=int, default=8)
+    parser.add_argument("--seed", type=int, default=None)
+
+
+def _qmc_options(args: argparse.Namespace) -> QmcOptions:
+    """QmcOptions from the flags of ``_add_qmc_flags``, with the points checked."""
+    points = args.qmc_points
     if points < 256 or points > 4194304 or points & (points - 1) != 0:
         raise DomainError(f"points must be a power of two in [2^8, 2^22], got {points}")
-    return points
+    return QmcOptions(points=points, replicates=args.qmc_replicates, seed=args.seed)
 
 
 def _emit(payload: dict, output: str) -> None:
@@ -189,26 +197,14 @@ def _spec_from_flags(args: argparse.Namespace) -> IntegrandSpec:
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     tol = _check_tol(args.tol)
     spec = _spec_from_flags(args)
-    qmc = None
-    if args.qmc:
-        qmc = QmcOptions(
-            points=_check_points(args.qmc_points),
-            replicates=args.qmc_replicates,
-            seed=args.seed,
-        )
-    report = verify(spec, tol=tol, qmc=qmc)
+    report = verify(spec, tol=tol, qmc=_qmc_options(args) if args.qmc else None)
     return report.to_json_dict(), 0 if report.pass_ else 1
 
 
 def _cmd_constants(args: argparse.Namespace) -> tuple[dict, int]:
     tol = _check_tol(args.tol)
-    opts = QmcOptions(
-        points=_check_points(args.qmc_points),
-        replicates=args.qmc_replicates,
-        seed=args.seed,
-    )
     fn = euler_gamma_via_integral if args.name == "gamma" else ln4_over_pi_via_integral
-    result = fn(args.m, method=args.method, opts=opts)
+    result = fn(args.m, method=args.method, opts=_qmc_options(args))
     payload = result.to_json_dict()
     gap = abs(result.value - result.reference)
     if result.method == "qmc":
@@ -281,14 +277,11 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[dict, int]:
             s=parse_complex(args.s),
         )
     reduced = reduce(spec)
+    payload = reduced_to_json_dict(reduced)
     if args.evaluate:
         result = reduced_eval(reduced, _check_tol(args.tol))
-        payload = reduced_to_json_dict(reduced)
-        payload["value"] = _cplx_out(result.value)
-        payload["abs_err"] = result.abs_err
-        payload["nodes"] = result.nodes
-        return payload, 0
-    return reduced_to_json_dict(reduced), 0
+        payload.update(value=_cplx_out(result.value), abs_err=result.abs_err, nodes=result.nodes)
+    return payload, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,18 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exponent_flags(p_ver)
     p_ver.add_argument("--tol", type=float, default=1e-10)
     p_ver.add_argument("--qmc", action=argparse.BooleanOptionalAction, default=False)
-    p_ver.add_argument("--qmc-points", type=int, default=65536)
-    p_ver.add_argument("--qmc-replicates", type=int, default=8)
-    p_ver.add_argument("--seed", type=int, default=None)
+    _add_qmc_flags(p_ver)
 
     p_con = sub.add_parser("constants", help="gamma / ln(4/pi) integral values")
     p_con.add_argument("--name", choices=("gamma", "ln4pi"), required=True)
     p_con.add_argument("--m", type=int, required=True)
     p_con.add_argument("--method", choices=("reduced", "qmc"), default="reduced")
     p_con.add_argument("--tol", type=float, default=1e-10)
-    p_con.add_argument("--qmc-points", type=int, default=65536)
-    p_con.add_argument("--qmc-replicates", type=int, default=8)
-    p_con.add_argument("--seed", type=int, default=None)
+    _add_qmc_flags(p_con)
 
     p_red = sub.add_parser("reduce", help="show the 1-D reduction of a spec")
     p_red.add_argument("--spec", help="path to a JSON IntegrandSpec")

@@ -7,30 +7,32 @@ s = 1 - m (z = 1 for Euler's constant, z = -1 for ln(4/pi)):
             (m-1 - x1 - x1x2 - ... - x1...x_{m-1})
             / ((1 -+ prod x) (-ln prod x)^(m-1)) dx.
 
-The closed form degenerates there (it divides by s+m-1 = 0), but applying
-the simplex reduction first and combining the resulting kernels yields an
-m-independent 1-D integral:
+The closed form degenerates there (it divides by s+m-1 = 0), but the
+simplex reduction does not: (m-2)! times the reduction of that spec is the
+same three-kernel sum for every m,
 
     gamma    = integral_0^1 [ 1/(1-t) + 1/ln(t) ] dt
-    ln(4/pi) = integral_0^1 [ 1 - (1-t)/(-ln t) ] / (1+t) dt
+    ln(4/pi) = integral_0^1 [ 1 - (1-t)/(-ln t) ] / (1+t) dt,
 
-(both integrands share the function G(d) = 1/d + 1/ln(1-d): the first is
-G(1-t), the second (1-t) G(1-t)/(1+t)).  The reduced method integrates
-these with tanh-sinh quadrature; the qmc method estimates the original
-m-dimensional integral directly, with the numerator and 1 - prod(x)
-computed via expm1 so the ratio stays finite through the corner.
+whose terms cancel to second order in -ln t at t = 1.  The reduced method
+evaluates the m = 2 reduction with ``reduced_eval``, which sums such
+cancelling kernels from their series near t = 1; the qmc method estimates
+the original m-dimensional integral directly, with the numerator and
+1 - prod(x) computed via expm1 so the ratio stays finite through the
+corner.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import qmc as qmc_mod
 from .errors import DomainError
 from .identities import QmcOptions, build_integrand
-from .quad1d import tanh_sinh
-from .simplex import FAMILY_THEOREM4, IntegrandSpec
+from .quad1d import reduced_eval
+from .quad1d import tanh_sinh  # noqa: F401  (bench/spans.py wraps this attribute)
+from .simplex import FAMILY_THEOREM4, IntegrandSpec, reduce
 
 NAME_EULER_GAMMA = "euler-gamma"
 NAME_LN_4_OVER_PI = "ln-4-over-pi"
@@ -41,42 +43,6 @@ LN_4_OVER_PI = 0.2415644752704905  # ln 4 - ln pi
 
 METHOD_REDUCED = "reduced"
 METHOD_QMC = "qmc"
-
-_SERIES_CUT = 1e-4
-
-# Taylor coefficients of G(d) = 1/d + 1/ln(1-d) = 1/2 + d/12 + d^2/24 + ...
-_G_SERIES = (0.5, 1.0 / 12.0, 1.0 / 24.0, 19.0 / 720.0, 3.0 / 160.0, 863.0 / 60480.0)
-
-
-def _g_cancel(d: float) -> float:
-    """G(d) = 1/d + 1/ln(1-d), stable for d in (0, 1/2].
-
-    Below the series cut the two huge reciprocals cancel catastrophically,
-    so the Taylor expansion takes over (error ~ d^6 there).
-    """
-    if d < _SERIES_CUT:
-        acc = 0.0
-        for c in reversed(_G_SERIES):
-            acc = acc * d + c
-        return acc
-    return 1.0 / d + 1.0 / math.log1p(-d)
-
-
-def _gamma_kernel(t: float) -> float:
-    # 1/(1-t) + 1/ln t; for t <= 1/2 both terms are O(1) and ln t is safe,
-    # for t > 1/2 the complement 1-t is exact and G(1-t) handles the
-    # cancellation at the upper endpoint.
-    if t <= 0.5:
-        return 1.0 / (1.0 - t) + 1.0 / math.log(t)
-    return _g_cancel(1.0 - t)
-
-
-def _ln4pi_kernel(t: float) -> float:
-    # [1 - (1-t)/(-ln t)]/(1+t) = (1-t) G(1-t)/(1+t)
-    if t <= 0.5:
-        return (1.0 - (1.0 - t) / (-math.log(t))) / (1.0 + t)
-    d = 1.0 - t
-    return d * _g_cancel(d) / (1.0 + t)
 
 
 @dataclass(frozen=True)
@@ -89,14 +55,7 @@ class ConstantResult:
     reference: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "m": self.m,
-            "method": self.method,
-            "value": self.value,
-            "error": self.error,
-            "reference": self.reference,
-        }
+        return asdict(self)
 
 
 def _check_m(m: int) -> None:
@@ -116,7 +75,6 @@ def theorem4_corner_integrand(m: int, z: complex):
 def _constant(
     name: str,
     reference: float,
-    kernel,
     z: complex,
     m: int,
     method: str = METHOD_REDUCED,
@@ -124,8 +82,8 @@ def _constant(
 ) -> ConstantResult:
     _check_m(m)
     if method == METHOD_REDUCED:
-        # the reduced kernel is m-independent; m only selects the identity shown
-        r = tanh_sinh(kernel, tol=1e-13)
+        # (m-2)! times every m's reduction is this m = 2 sum
+        r = reduced_eval(reduce(IntegrandSpec(2, FAMILY_THEOREM4, (1.0,), z, -1.0)), tol=1e-13)
         return ConstantResult(name, m, method, float(r.value.real), r.abs_err, reference)
     if method == METHOD_QMC:
         opts = opts or QmcOptions()
@@ -142,11 +100,11 @@ def euler_gamma_via_integral(
     m: int, method: str = METHOD_REDUCED, opts: QmcOptions | None = None
 ) -> ConstantResult:
     """Euler's constant from the m-dimensional identity (z = 1)."""
-    return _constant(NAME_EULER_GAMMA, EULER_GAMMA, _gamma_kernel, 1.0, m, method, opts)
+    return _constant(NAME_EULER_GAMMA, EULER_GAMMA, 1.0, m, method, opts)
 
 
 def ln4_over_pi_via_integral(
     m: int, method: str = METHOD_REDUCED, opts: QmcOptions | None = None
 ) -> ConstantResult:
     """ln(4/pi) from the m-dimensional identity (z = -1)."""
-    return _constant(NAME_LN_4_OVER_PI, LN_4_OVER_PI, _ln4pi_kernel, -1.0, m, method, opts)
+    return _constant(NAME_LN_4_OVER_PI, LN_4_OVER_PI, -1.0, m, method, opts)

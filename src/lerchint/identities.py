@@ -56,13 +56,17 @@ class ClosedForm:
     """Sum of coeff * gamma(gamma_arg) * Phi(phi_args) plus an optional power.
 
     The power term contributes coeff * base^exponent; it carries the
-    u^(-s-m+1) piece of the theorem4-kernel closed form.
+    u^(-s-m+1) piece of the theorem4-kernel closed form.  At z = 1 every
+    Phi first argument must have real part above ``_HURWITZ_MARGIN``.
     """
 
     terms: tuple  # of (coeff, gamma_arg, LerchArgs)
     power_term: tuple | None = None  # (coeff, base, exponent)
 
     def value(self, tol: float = _DEFAULT_PHI_TOL) -> complex:
+        for _, _, args in self.terms:
+            if is_one(args.z) and args.s.real <= _HURWITZ_MARGIN:
+                raise DomainError(f"z=1 needs Re s > {_HURWITZ_MARGIN} in every Phi, got s={args.s}")
         total = 0j
         for coeff, gamma_arg, args in self.terms:
             total += coeff * gamma(gamma_arg) * phi(args, tol).value
@@ -87,10 +91,6 @@ def rhs_theorem3_pair(
             CancellationWarning,
             stacklevel=2,
         )
-    if is_one(z) and (s + m - 1).real <= _HURWITZ_MARGIN:
-        raise DomainError(
-            f"z=1 pair form needs Re(s+m-1) > {_HURWITZ_MARGIN}, got s={s}, m={m}"
-        )
     cf = ClosedForm(
         terms=(
             (1.0 / (math.factorial(m - 2) * (u - v)), s + m - 1, LerchArgs(z, s + m - 1, v)),
@@ -107,8 +107,6 @@ def rhs_theorem3_symmetric(
     if m < 1:
         raise DomainError("need m >= 1")
     z, s, u = complex(z), complex(s), complex(u)
-    if is_one(z) and (s + m).real <= _HURWITZ_MARGIN:
-        raise DomainError(f"z=1 symmetric form needs Re(s+m) > {_HURWITZ_MARGIN}")
     cf = ClosedForm(
         terms=((1.0 / math.factorial(m - 1), s + m, LerchArgs(z, s + m, u)),)
     )
@@ -130,8 +128,6 @@ def rhs_theorem4(
         raise DomainError("closed form divides by z; z too close to 0")
     if abs(s + m - 1) < 1e-9:
         raise DomainError("closed form divides by s+m-1; too close to 0")
-    if is_one(z) and (s + m - 1).real <= _HURWITZ_MARGIN:
-        raise DomainError(f"z=1 form needs Re(s+m-1) > {_HURWITZ_MARGIN}")
     pref = 1.0 / math.factorial(m - 2)
     denom = z * (s + m - 1)
     # gamma(s+m) multiplies the whole bracket, including the pure power term
@@ -152,8 +148,6 @@ def rhs_theorem5(us, z: complex, s: complex, tol: float = _DEFAULT_PHI_TOL) -> c
         raise DomainError("need at least one exponent")
     z, s = complex(z), complex(s)
     _check_distinct(us)
-    if is_one(z) and (s + 1).real <= _HURWITZ_MARGIN:
-        raise DomainError(f"z=1 needs Re(s+1) > {_HURWITZ_MARGIN}")
     # The Lagrange product is transcribed here on purpose: the closed forms
     # stay independent of simplex.reduce, or verification would be circular.
     terms = []
@@ -380,13 +374,6 @@ def verify_batch(specs, tol: float = 1e-8, qmc: QmcOptions | None = None) -> lis
     return reports
 
 
-_LIFT_FACTORIAL = {
-    FAMILY_SYMMETRIC: lambda m: math.factorial(m - 1),
-    FAMILY_F_KERNEL: lambda m: math.factorial(m - 2),
-    FAMILY_THEOREM4: lambda m: math.factorial(m - 2),
-}
-
-
 def verify_dimension_lift(
     m: int, spec2: IntegrandSpec, tol: float = 1e-8, quad_tol: float | None = None
 ) -> VerificationReport:
@@ -412,7 +399,7 @@ def verify_dimension_lift(
         z=spec2.z,
         s=spec2.s - m + 2,
     )
-    fact = _LIFT_FACTORIAL[spec2.family](m)
+    fact = math.factorial(m - 1 if spec2.family == FAMILY_SYMMETRIC else m - 2)
     side2 = reduced_eval(reduce(spec2), quad_tol)
     side_m = reduced_eval(reduce(lifted), quad_tol)
     lhs = QuadResult(fact * side_m.value, fact * side_m.abs_err, side_m.nodes)

@@ -58,33 +58,33 @@ class LerchArgs:
             raise DomainError(f"z={self.z} lies on the real ray [1, infinity)")
 
 
-def _series_tail_bound(z: complex, s: complex, u: complex, n_last: int) -> float:
-    """Upper bound on |sum_{n > n_last} z^n (u+n)^(-s)|.
+def _series_tail_bound(z: complex, s: complex, u: complex):
+    """The bound n_last -> upper bound on |sum_{n > n_last} z^n (u+n)^(-s)|.
 
     Geometric bound for |z| < 1 (with the (u+n)^(-s) factor bounded through
     Re u + n for Re s >= 0, through |u+n| with a ratio correction for
     Re s < 0) and an integral-comparison bound on the unit circle.  The
     split is phi's disk edge, so a circle point whose modulus rounds below
-    1 never divides by 1 - |z| ~ 1e-16.
+    1 never divides by 1 - |z| ~ 1e-16.  |z|, the e^(pi |Im s|/2) factor
+    and the branch are fixed per series, so they are settled here once.
     Infinity signals "cannot bound yet, keep summing".
     """
     az = abs(z)
     amp = math.exp(abs(s.imag) * 0.5 * math.pi)
-    n1 = n_last + 1
-    if az < _DISK_EDGE:
-        if s.real >= 0.0:
-            lead = az ** n1 * (u.real + n1) ** (-s.real)
-            return amp * lead / (1.0 - az)
-        growth = ((u.real + n1 + 1.0) / (u.real + n1)) ** (-s.real)
-        rho = az * growth
-        if rho >= 1.0:
-            return math.inf
-        lead = az ** n1 * abs(u + n1) ** (-s.real)
-        return amp * lead / (1.0 - rho)
-    # |z| = 1, z != +-1: absolute convergence for Re s > 1 via the integral test
-    if s.real <= 1.0:
-        return math.inf
-    return amp * (u.real + n_last) ** (1.0 - s.real) / (s.real - 1.0)
+    sr, ur = s.real, u.real
+    if az >= _DISK_EDGE:  # |z| = 1, z != +-1: the integral test, for Re s > 1
+        if sr <= 1.0:
+            return lambda n_last: math.inf
+        return lambda n_last: amp * (ur + n_last) ** (1.0 - sr) / (sr - 1.0)
+    if sr >= 0.0:
+        return lambda n_last: amp * (az ** (n_last + 1) * (ur + (n_last + 1)) ** (-sr)) / (1.0 - az)
+
+    def geometric_growing(n_last: int) -> float:
+        n1 = n_last + 1
+        rho = az * ((ur + n1 + 1.0) / (ur + n1)) ** (-sr)
+        return math.inf if rho >= 1.0 else amp * (az ** n1 * abs(u + n1) ** (-sr)) / (1.0 - rho)
+
+    return geometric_growing
 
 
 def _direct_series(args: LerchArgs, tol: float, budget: int) -> EvalResult:
@@ -92,13 +92,14 @@ def _direct_series(args: LerchArgs, tol: float, budget: int) -> EvalResult:
     if abs(z) == 0.0:
         value = u ** (-s)  # only the n=0 term survives
         return EvalResult(value, 2.0 * _EPS * abs(value), METHOD_DIRECT_SERIES, 1)
+    tail_bound = _series_tail_bound(z, s, u)
     acc = CompensatedSum()
     zp = 1.0 + 0j
     n = 0
     while n <= budget:
         acc.add(zp * (u + n) ** (-s))
         if n >= 1:
-            tail = _series_tail_bound(z, s, u, n)
+            tail = tail_bound(n)
             rounding = 4.0 * _EPS * acc.abs_total
             if tail + rounding <= tol:
                 return EvalResult(acc.value, tail + rounding, METHOD_DIRECT_SERIES, n + 1)
@@ -137,18 +138,9 @@ def phi(args: LerchArgs, tol: float = 1e-12, *, allow_quadrature: bool = False) 
     az = abs(z)
     if az <= 0.9:
         return _direct_series(args, tol, _SERIES_BUDGET)
-    if az < _DISK_EDGE:
-        try:
-            return _direct_series(args, tol, _SERIES_BUDGET_NEAR_DISK_EDGE)
-        except ConvergenceError:
-            if allow_quadrature:
-                return _quadrature_fallback(args, tol)
-            raise
-    if abs(az - 1.0) <= 1e-14:
-        if s.real <= 1.0:
-            raise DomainError(
-                f"|z|=1 with z != +-1 needs Re s > 1 for the series, got s={s}"
-            )
+    if az < _DISK_EDGE or abs(az - 1.0) <= 1e-14:
+        if az >= _DISK_EDGE and s.real <= 1.0:
+            raise DomainError(f"|z|=1 with z != +-1 needs Re s > 1 for the series, got s={s}")
         try:
             return _direct_series(args, tol, _SERIES_BUDGET_NEAR_DISK_EDGE)
         except ConvergenceError:

@@ -13,6 +13,11 @@ are best evaluated through a single complex exponential so that huge
 t^(w-1) factors and tiny weights cancel in exact arithmetic instead of
 overflowing one at a time.
 
+A weighted sum of such kernels is integrated in one pass.  Near t = 1 the
+sum can vanish to a higher power of -ln t than any of its terms, so there
+it is summed from its Taylor series in -ln t, whose cancelling leading
+coefficients are exactly zero; see ``_kernel_group``.
+
 Truncating the node tables where the transformed weight underflows drops
 an endpoint tail of mass about exp(-736 Re w)/Re w (and similarly in the
 exponent p+1 at t=1), negligible for Re w >= 0.05 at any supported
@@ -37,6 +42,11 @@ _G_CUTOFF = 368.0  # (pi/2) sinh(v) beyond this underflows exp(-2g)
 _HALF_PI = 0.5 * math.pi
 _LN_QUARTER_PI = math.log(0.25 * math.pi)  # ln of the Jacobian prefactor
 
+_EPS = 2.220446049250313e-16
+_NEAR_CUT = 0.25  # -ln t below which a kernel sum is summed as its series
+_SERIES_ORDER = 32  # highest power of -ln t tabulated at the near-one nodes
+_NOISE = 64.0 * _EPS  # a series coefficient this small against its terms is rounding
+
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -55,7 +65,10 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class KernelTerm:
-    """One weighted kernel c * t^(w-1) (-ln t)^p / (1 - z t) on (0,1)."""
+    """One weighted kernel c * t^(w-1) (-ln t)^p / (1 - z t) on (0,1).
+
+    Integrability at t = 1 belongs to the whole sum: ``reduced_eval`` checks it.
+    """
 
     coeff: complex
     w: complex
@@ -65,15 +78,8 @@ class KernelTerm:
     def __post_init__(self) -> None:
         if complex(self.w).real <= 0.0:
             raise DomainError(f"kernel needs Re w > 0 for integrability at 0, got w={self.w}")
-        z = complex(self.z)
-        p = complex(self.p)
-        if _on_real_ray_beyond_one(z):
-            raise DomainError(f"kernel denominator vanishes on (0,1) for z={z}")
-        if is_one(z):
-            if p.real <= 0.0:
-                raise DomainError(f"kernel with z=1 needs Re p > 0, got p={p}")
-        elif p.real <= -1.0:
-            raise DomainError(f"kernel needs Re p > -1 at t=1, got p={p}")
+        if complex(self.z).imag == 0.0 and complex(self.z).real > 1.0:
+            raise DomainError(f"kernel denominator vanishes on (0,1) for z={self.z}")
 
 
 def is_one(z: complex) -> bool:
@@ -81,19 +87,21 @@ def is_one(z: complex) -> bool:
     return abs(z - 1.0) <= 1e-14
 
 
-def _on_real_ray_beyond_one(z: complex) -> bool:
-    return z.imag == 0.0 and z.real > 1.0
-
-
 @dataclass(frozen=True)
 class _LevelNodes:
-    """Nodes new to one refinement level (both tails, midpoint only at level 0)."""
+    """Nodes new to one refinement level (both tails, midpoint only at level 0).
+
+    Sorted by -ln t, so the ``near`` nodes closest to t = 1 come first.
+    """
 
     t: np.ndarray        # abscissa in (0,1)
     tc: np.ndarray       # 1 - t, computed without cancellation
     neg_log_t: np.ndarray
+    ln_neg_log_t: np.ndarray  # ln(-ln t)
     neg_log_tc: np.ndarray  # -ln(1-t); the z=1 denominator lives in exp-space
     log_weight: np.ndarray  # ln of the h-free transformed trapezoid weight
+    near: int               # nodes with -ln t < _NEAR_CUT
+    near_pows: np.ndarray   # (-ln t)^e at those nodes, e = 0.._SERIES_ORDER
 
 
 _LEVEL_CACHE: list[_LevelNodes] = []
@@ -102,47 +110,35 @@ _LEVEL_CACHE_LOCK = threading.Lock()
 
 def _build_level(level: int) -> _LevelNodes:
     h = 0.5 ** level
-    js = range(0, 10 ** 9) if level == 0 else range(1, 10 ** 9, 2)
-    t_list: list[float] = []
-    tc_list: list[float] = []
-    nlt_list: list[float] = []
-    nltc_list: list[float] = []
-    lw_list: list[float] = []
-    for j in js:
-        v = j * h
-        g = _HALF_PI * math.sinh(v)
-        if g > _G_CUTOFF:
-            break
-        q = math.exp(-2.0 * g)
-        lq = math.log1p(q)
-        x_hi = 1.0 / (1.0 + q)
-        x_lo = q / (1.0 + q)
-        # ln weight = ln(pi/4) + ln cosh v + 2 ln sech g, all overflow-safe
-        log_w = _LN_QUARTER_PI + math.log(math.cosh(v)) + 2.0 * (math.log(2.0) - g - lq)
-        if j == 0:
-            t_list.append(0.5)
-            tc_list.append(0.5)
-            nlt_list.append(math.log(2.0))
-            nltc_list.append(math.log(2.0))
-            lw_list.append(log_w)
-            continue
-        # right tail node (t near 1) and its mirror (t near 0)
-        t_list.append(x_hi)
-        tc_list.append(x_lo)
-        nlt_list.append(lq)  # -ln(1/(1+q)) = log1p(q)
-        nltc_list.append(2.0 * g + lq)
-        lw_list.append(log_w)
-        t_list.append(x_lo)
-        tc_list.append(x_hi)
-        nlt_list.append(2.0 * g + lq)
-        nltc_list.append(lq)
-        lw_list.append(log_w)
+    first, step = (0, 1) if level == 0 else (1, 2)
+    v = h * np.arange(first, math.asinh(_G_CUTOFF / _HALF_PI) / h + 1.0, step)
+    g = _HALF_PI * np.sinh(v)
+    v, g = v[g <= _G_CUTOFF], g[g <= _G_CUTOFF]
+    q = np.exp(-2.0 * g)
+    lq = np.log1p(q)  # -ln(1/(1+q)), the -ln t of a node near 1
+    # ln weight = ln(pi/4) + ln cosh v + 2 ln sech g, all overflow-safe
+    log_w = _LN_QUARTER_PI + np.log(np.cosh(v)) + 2.0 * (math.log(2.0) - g - lq)
+    # right tail nodes (t near 1) and their mirrors (t near 0); at v = 0 the
+    # two coincide at t = 1/2
+    mirror = slice(1 - first, None)
+    x_hi, x_lo = 1.0 / (1.0 + q), q / (1.0 + q)
+    t = np.concatenate((x_hi, x_lo[mirror]))
+    tc = np.concatenate((x_lo, x_hi[mirror]))
+    neg_log_t = np.concatenate((lq, (2.0 * g + lq)[mirror]))
+    neg_log_tc = np.concatenate((2.0 * g + lq, lq[mirror]))
+    log_weight = np.concatenate((log_w, log_w[mirror]))
+    order = np.argsort(neg_log_t, kind="stable")
+    neg_log_t = neg_log_t[order]
+    near = int(np.searchsorted(neg_log_t, _NEAR_CUT))
     return _LevelNodes(
-        t=np.array(t_list),
-        tc=np.array(tc_list),
-        neg_log_t=np.array(nlt_list),
-        neg_log_tc=np.array(nltc_list),
-        log_weight=np.array(lw_list),
+        t=t[order],
+        tc=tc[order],
+        neg_log_t=neg_log_t,
+        ln_neg_log_t=np.log(neg_log_t),
+        neg_log_tc=neg_log_tc[order],
+        log_weight=log_weight[order],
+        near=near,
+        near_pows=neg_log_t[:near] ** np.arange(_SERIES_ORDER + 1.0)[:, None],
     )
 
 
@@ -233,20 +229,127 @@ def tanh_sinh(f, tol: float = DEFAULT_TOL, max_level: int = DEFAULT_MAX_LEVEL) -
     return _integrate(level_sum, tol, max_level)
 
 
-def _kernel_level_sum(nodes: _LevelNodes, w: complex, p: complex, z: complex):
-    ln_l = np.log(nodes.neg_log_t)
-    # weight * t^(w-1) * (-ln t)^p through one exponential: the product is
-    # O(integrand mass) even where the factors individually overflow.
-    a = (1.0 - w) * nodes.neg_log_t + p * ln_l + nodes.log_weight
-    if is_one(z):
-        # 1/(1-t) joins the exponential; subnormal 1-t never gets divided by
-        vals = np.exp(a + nodes.neg_log_tc)
-    else:
-        den = np.where(nodes.t > 0.5, (1.0 - z) + z * nodes.tc, 1.0 - z * nodes.t)
-        vals = np.exp(a) / den
-    if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
-        raise EvaluationError(f"kernel produced non-finite node values (w={w}, p={p}, z={z})")
-    return vals.sum(), len(nodes.t)
+def _taylor(parts: list, cut: float):
+    """(j, [a_j, ..., a_N]) for sum_i c_i e^(-d_i L) L^(k_i), parts = (c_i, d_i, k_i).
+
+    a_n = sum_i c_i (-d_i)^(n-k_i) / (n-k_i)!, set to zero within _NOISE of
+    the sum of its terms' magnitudes; a_j is the first nonzero one.  N is
+    the first order >= max k_i whose terms are negligible against a_j at
+    L = cut; with max|d_i| cut <= 1 every (|d_i| cut)^e / e! falls with e,
+    so that test is safe.  j = None when every order up to _SERIES_ORDER cancels.
+    """
+    kmax = max(k for _, _, k in parts)
+    cur = [0.0] * len(parts)
+    coeffs: list = []
+    j = None
+    for n in range(_SERIES_ORDER + 1):
+        a = mag = 0.0
+        for i, (c, d, k) in enumerate(parts):
+            if n >= k:
+                cur[i] = c if n == k else cur[i] * -d / (n - k)
+                a += cur[i]
+                mag += abs(cur[i])
+        if abs(a) <= _NOISE * mag:
+            a = 0.0
+        if j is None:
+            if a == 0.0:
+                continue
+            j, lead = n, abs(a)
+        coeffs.append(a)
+        if n >= kmax and mag * cut ** (n - j) <= _EPS * lead:
+            break
+    return j, coeffs
+
+
+def _kernel_group(terms: list):
+    """Level-sum function of kernel terms with one z whose p differ by integers.
+
+    With p0 and w0 the p and w of smallest real part, k_i = p_i - p0 (an
+    integer), d_i = w_i - w0 and L = -ln t, the terms sum to
+
+        t^(w0-1) L^p0 / (1 - z t) * sum_i c_i e^(-d_i L) L^(k_i).
+
+    If the inner sum's Taylor coefficients in L vanish below order j
+    (``_taylor``), the group behaves like L^(p0+j) at t = 1, which decides
+    its integrability there.  For j > 0 the group is summed below a cut in
+    L as t^(w0-1) L^(p0+j) sum_{n>=j} a_n L^(n-j), so the cancelling
+    orders never enter, and above the cut term by term.  Returns None when
+    the terms cancel identically.
+    """
+    z = complex(terms[0].z)
+    p0 = min((t.p for t in terms), key=lambda p: p.real)
+    w0 = min((t.w for t in terms), key=lambda w: w.real)
+    parts = [(t.coeff, t.w - w0, round((t.p - p0).real)) for t in terms]
+    dmax = max(abs(d) for _, d, _ in parts)
+    cut = min(_NEAR_CUT, 1.0 / dmax) if dmax else _NEAR_CUT
+    j, coeffs = _taylor(parts, cut)
+    if j is None:
+        return None
+    z_one = is_one(z)
+    bound = 0.0 if z_one else -1.0
+    if (p0 + j).real <= bound:
+        raise DomainError(f"kernel sum ~ (-ln t)^{p0 + j} at t=1 (z={z}) needs Re > {bound}")
+    a = np.array(coeffs)
+    a_re, a_im = a.real.copy(), (a.imag.copy() if np.any(a.imag) else None)
+
+    def level_sum(nodes: _LevelNodes):
+        n = 0 if j == 0 else nodes.near
+        if n and cut < _NEAR_CUT:
+            n = int(np.searchsorted(nodes.neg_log_t[:n], cut))
+        ell, ln_ell = nodes.neg_log_t, nodes.ln_neg_log_t
+        # weight * t^(w0-1) through one exponential: the product is O(integrand
+        # mass) even where the factors individually overflow.
+        base = (1.0 - w0) * ell + nodes.log_weight
+        if z_one:
+            # 1/(1-t) joins the exponential; subnormal 1-t never gets divided by
+            base = base + nodes.neg_log_tc
+        inner = 0.0
+        for c, d, k in parts:
+            f = c * np.exp(-d * ell[n:]) if d else c
+            inner = inner + (f * ell[n:] ** k if k else f)
+        vals = np.exp(base[n:] + p0 * ln_ell[n:]) * inner
+        if n:
+            pows = nodes.near_pows[: len(a_re), :n]
+            series = a_re @ pows if a_im is None else a_re @ pows + 1j * (a_im @ pows)
+            vals = np.concatenate((np.exp(base[:n] + (p0 + j) * ln_ell[:n]) * series, vals))
+        if not z_one and z != 0.0:
+            vals = vals / np.where(nodes.t > 0.5, (1.0 - z) + z * nodes.tc, 1.0 - z * nodes.t)
+        return vals.sum()
+
+    return level_sum
+
+
+def reduced_eval(reduced, tol: float = DEFAULT_TOL, max_level: int = DEFAULT_MAX_LEVEL) -> QuadResult:
+    """Evaluate a weighted sum of kernel terms: sum_i c_i * K(z_i, w_i, p_i).
+
+    The whole sum is integrated in one tanh-sinh pass with one convergence
+    test, so abs_err is the difference of the whole sum between the last
+    two levels.  Terms whose p differ by integers are summed as one
+    function (``_kernel_group``), so a sum is accepted when it is
+    integrable at t = 1 even if its terms are not one by one; a sum that
+    is not raises DomainError before any quadrature.
+    """
+    terms = reduced.terms if hasattr(reduced, "terms") else tuple(reduced)
+    buckets: list = []  # terms with one z whose p differ by integers
+    for term in terms:
+        for members in buckets:
+            dp = term.p - members[0].p
+            if members[0].z == term.z and abs(dp - round(dp.real)) <= 1e-12 * (1.0 + abs(term.p)):
+                members.append(term)
+                break
+        else:
+            buckets.append([term])
+    groups = [g for g in map(_kernel_group, buckets) if g is not None]
+    if not groups:
+        return QuadResult(0j, 0.0, 0)
+
+    def level_sum(nodes: _LevelNodes):
+        total = complex(sum(g(nodes) for g in groups))
+        if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+            raise EvaluationError(f"kernel sum produced non-finite node values: {terms}")
+        return total, len(nodes.t)
+
+    return _integrate(level_sum, tol, max_level)
 
 
 def lerch_kernel_integral(
@@ -260,39 +363,6 @@ def lerch_kernel_integral(
 
     Its value equals gamma(p+1) * Phi(z, p+1, w), which is exactly what the
     cross-checks in the test suite exercise; here it is computed purely by
-    quadrature.
+    quadrature, as a one-term ``reduced_eval``.
     """
-    term = KernelTerm(1.0, complex(w), complex(p), complex(z))  # validates domain
-    return _integrate(
-        lambda nodes: _kernel_level_sum(nodes, term.w, term.p, term.z),
-        tol,
-        max_level,
-    )
-
-
-def reduced_eval(reduced, tol: float = DEFAULT_TOL, max_level: int = DEFAULT_MAX_LEVEL) -> QuadResult:
-    """Evaluate a weighted sum of kernel terms: sum_i c_i * K(z_i, w_i, p_i).
-
-    Per-term tolerances are scaled by the coefficient magnitudes so the
-    combined error lands under ``tol``; abs_err is the coefficient-weighted
-    sum of per-term errors.
-    """
-    terms = list(reduced.terms) if hasattr(reduced, "terms") else list(reduced)
-    if not terms:
-        return QuadResult(0j, 0.0, 0)
-    total = 0j
-    err = 0.0
-    nodes = 0
-    n = len(terms)
-    for term in terms:
-        c = complex(term.coeff)
-        term_tol = tol / (n * max(1.0, abs(c)))
-        r = _integrate(
-            lambda nd: _kernel_level_sum(nd, complex(term.w), complex(term.p), complex(term.z)),
-            term_tol,
-            max_level,
-        )
-        total += c * r.value
-        err += abs(c) * r.abs_err
-        nodes += r.nodes
-    return QuadResult(total, err, nodes)
+    return reduced_eval((KernelTerm(1.0, w, p, z),), tol, max_level)

@@ -226,10 +226,8 @@ def reduce(spec: IntegrandSpec) -> ReducedIntegrand:
     The returned terms evaluate (through ``quad1d.reduced_eval``) to the
     same number as the m-dimensional integral.  Term coefficients include
     the 1/(m-1)! or 1/(m-2)! factors produced by the simplex volumes.
-    KernelTerm construction re-validates per-term integrability, which is
-    stricter than the identity's own hypothesis near the lower end of the
-    admissible s strip (the difference of two divergent kernels can be
-    finite; such s are rejected here rather than mis-evaluated).
+    Over the whole admissible s strip the terms sum to an integrable
+    function, even where some of them diverge at t = 1 on their own.
     """
     m, z, s = spec.m, spec.z, spec.s
     if spec.family == FAMILY_SYMMETRIC:

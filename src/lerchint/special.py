@@ -147,8 +147,8 @@ def hurwitz_zeta(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
 
     Truncated sum plus Euler-Maclaurin tail: integral term, half-term, then
     Bernoulli corrections B_2..B_30.  The truncation point N doubles until
-    the first omitted correction term drops below tol/4; the reported
-    abs_err covers that omission and the accumulated rounding.
+    the first omitted correction term drops below tol/4, extending (not
+    restarting) the partial sum; abs_err covers that omission and rounding.
     """
     s = complex(s)
     u = complex(u)
@@ -160,10 +160,12 @@ def hurwitz_zeta(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
         raise DomainError(f"hurwitz_zeta needs Re u > 0, got u={u}")
 
     n_terms = max(16, int(1.2 * abs(s)) + 4)
+    acc = CompensatedSum()
+    summed = 0  # the partial sum runs on from here when N doubles
     while n_terms <= _MAX_HURWITZ_N:
-        acc = CompensatedSum()
-        for n in range(n_terms):
+        for n in range(summed, n_terms):
             acc.add((u + n) ** (-s))
+        summed = n_terms
         base = u + n_terms
         base_pow = base ** (-s)
         tail = base * base_pow / (s - 1.0) + 0.5 * base_pow

@@ -16,9 +16,12 @@ from lerchint import (
     DomainError,
     EULER_GAMMA,
     LN_4_OVER_PI,
+    IntegrandSpec,
     QmcOptions,
     euler_gamma_via_integral,
     ln4_over_pi_via_integral,
+    reduce,
+    reduced_eval,
 )
 from lerchint.constants import theorem4_corner_integrand
 
@@ -90,25 +93,27 @@ class TestQmcPath:
 
 class TestKernelSeriesGuard:
     def test_series_branch_continuous_with_direct_formula(self):
-        # just above the series cut the direct 1/d + 1/log1p(-d) is still
-        # good to ~1e-12 relative, which pins the Taylor coefficients
-        from lerchint.constants import _g_cancel
+        # just above the cut, the Taylor series in L = -ln t of a cancelling
+        # kernel sum agrees with its direct sum sum_i c_i e^(-d_i L) L^k_i
+        from lerchint.quad1d import _NEAR_CUT, _taylor
 
-        for d in (2e-4, 5e-4, 1e-3):
-            direct = 1.0 / d + 1.0 / math.log1p(-d)
-            series = sum(
-                c * d ** k
-                for k, c in enumerate(
-                    (0.5, 1.0 / 12.0, 1.0 / 24.0, 19.0 / 720.0, 3.0 / 160.0, 863.0 / 60480.0)
-                )
-            )
-            assert abs(series - direct) <= 5e-10 * abs(direct), f"d={d}"
-            assert abs(_g_cancel(d) - direct) <= 5e-10 * abs(direct), f"d={d}"
+        corner = [(1.0, 0.0, 1), (-1.0, 0.0, 0), (1.0, 1.0, 0)]  # L - 1 + t, the constants
+        pair = [(0.8, 0.0, 0), (-0.8, 1.3 + 0.4j, 0)]  # an f-kernel sum
+        for parts, lead in ((corner, 2), (pair, 1)):
+            j, coeffs = _taylor(parts, _NEAR_CUT)
+            assert j == lead
+            for ell in (1.001 * _NEAR_CUT, 1.1 * _NEAR_CUT):
+                series = ell ** j * sum(a * ell ** n for n, a in enumerate(coeffs))
+                direct = sum(c * np.exp(-d * ell) * ell ** k for c, d, k in parts)
+                assert abs(series - direct) <= 1e-14 * abs(direct), f"parts={parts}, L={ell}"
 
-    def test_guard_value_at_limit(self):
-        from lerchint.constants import _g_cancel
-
-        assert _g_cancel(1e-12) == pytest.approx(0.5, abs=1e-12)
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_constants_equal_corner_reduction(self, m):
+        # the reduced method is the theorem4 reduction at u = 1, s = 1 - m
+        for z, fn in ((1.0, euler_gamma_via_integral), (-1.0, ln4_over_pi_via_integral)):
+            spec = IntegrandSpec(m, "theorem4-kernel", (1.0,), z, 1 - m)
+            ref = math.factorial(m - 2) * reduced_eval(reduce(spec), 1e-13).value
+            assert abs(fn(m).value - ref) <= 1e-14, f"z={z}"
 
 
 class TestCornerGuard:

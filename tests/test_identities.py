@@ -247,7 +247,8 @@ class TestVerify:
 
     def test_batch_records_errors(self):
         good = IntegrandSpec(m=1, family="symmetric", exponents=(2.0,), z=0.0, s=1.0)
-        bad = IntegrandSpec(m=3, family="f-kernel", exponents=(2.0, 1.0), z=0.5, s=-2.5)
+        # the closed form's Hurwitz margin rejects Re(s+m-1) = 1.04 at z = 1
+        bad = IntegrandSpec(m=3, family="f-kernel", exponents=(2.0, 1.0), z=1.0, s=-0.96)
         reports = verify_batch([good, bad])
         assert reports[0].pass_
         assert not reports[1].pass_

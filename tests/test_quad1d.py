@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lerchint import (
+    EULER_GAMMA,
     ConvergenceError,
     DomainError,
     EvaluationError,
@@ -71,13 +72,24 @@ class TestKernelTermValidation:
             KernelTerm(1.0, 0.0, 1.0, 0.5)
 
     def test_z_one_needs_positive_p(self):
+        # integrability at t = 1 belongs to the whole sum: the evaluator checks it
         with pytest.raises(DomainError):
-            KernelTerm(1.0, 1.0, 0.0, 1.0)
+            lerch_kernel_integral(1.0, 1.0, 0.0)
         KernelTerm(1.0, 1.0, 0.5, 1.0)  # fine
 
     def test_p_below_minus_one_rejected(self):
         with pytest.raises(DomainError):
-            KernelTerm(1.0, 1.0, -1.0, 0.5)
+            reduced_eval(ReducedIntegrand(terms=(KernelTerm(1.0, 1.0, -1.0, 0.5),)))
+
+    def test_corner_sum_accepted_while_lone_kernel_diverges(self):
+        # theorem4 at m = 2, u = 1, s = -1: two of the three kernels diverge at
+        # t = 1 on their own, but the sum is Euler's constant's integrand
+        corner = (KernelTerm(1.0, 1.0, 0.0, 1.0), KernelTerm(-1.0, 1.0, -1.0, 1.0),
+                  KernelTerm(1.0, 2.0, -1.0, 1.0))
+        r = reduced_eval(ReducedIntegrand(terms=corner), tol=1e-13)
+        assert abs(r.value - EULER_GAMMA) <= 1e-13
+        with pytest.raises(DomainError):
+            reduced_eval(ReducedIntegrand(terms=corner[1:2]))
 
     def test_z_on_ray_rejected(self):
         with pytest.raises(DomainError):
