@@ -25,7 +25,6 @@ from .errors import (
 )
 from .identities import (
     ClosedForm,
-    QmcOptions,
     VerificationReport,
     build_integrand,
     rhs_theorem3_pair,
@@ -37,7 +36,7 @@ from .identities import (
     verify_dimension_lift,
 )
 from .lerch import LerchArgs, phi, phi_du_fd, phi_shift_u
-from .qmc import QmcResult, halton_point, qmc_estimate
+from .qmc import QmcOptions, QmcResult, halton_point, qmc_estimate
 from .quad1d import KernelTerm, QuadResult, lerch_kernel_integral, reduced_eval, tanh_sinh
 from .simplex import (
     FAMILIES,

@@ -27,8 +27,9 @@ import sys
 
 from .constants import euler_gamma_via_integral, ln4_over_pi_via_integral
 from .errors import ConvergenceError, DomainError, EvaluationError
-from .identities import QmcOptions, verify
+from .identities import verify
 from .lerch import LerchArgs, phi
+from .qmc import PASS_SIGMA, QmcOptions, sigma_gap
 from .quad1d import KernelTerm, reduced_eval
 from .simplex import (
     FAMILY_DISTINCT,
@@ -102,8 +103,8 @@ def _check_tol(tol: float) -> float:
 
 
 def _add_qmc_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--qmc-points", type=int, default=65536)
-    parser.add_argument("--qmc-replicates", type=int, default=8)
+    parser.add_argument("--qmc-points", type=int, default=QmcOptions.points)
+    parser.add_argument("--qmc-replicates", type=int, default=QmcOptions.replicates)
     parser.add_argument("--seed", type=int, default=None)
 
 
@@ -208,7 +209,7 @@ def _cmd_constants(args: argparse.Namespace) -> tuple[dict, int]:
     payload = result.to_json_dict()
     gap = abs(result.value - result.reference)
     if result.method == "qmc":
-        ok = gap <= 3.0 * max(result.error, 1e-15)
+        ok = sigma_gap(result.value, result.error, result.reference) <= PASS_SIGMA
     else:
         ok = gap <= max(tol, 1e-8)
     payload["abs_gap"] = gap

@@ -29,7 +29,8 @@ from dataclasses import asdict, dataclass
 
 from . import qmc as qmc_mod
 from .errors import DomainError
-from .identities import QmcOptions, build_integrand
+from .identities import build_integrand
+from .qmc import QmcOptions
 from .quad1d import reduced_eval
 from .quad1d import tanh_sinh  # noqa: F401  (bench/spans.py wraps this attribute)
 from .simplex import FAMILY_THEOREM4, IntegrandSpec, reduce
@@ -89,10 +90,8 @@ def _constant(
         opts = opts or QmcOptions()
         f = theorem4_corner_integrand(m, z)
         q = qmc_mod.qmc_estimate(f, m, opts.points, opts.replicates, opts.seed, opts.threads)
-        scaled = math.factorial(m - 2) * q.estimate.real
-        return ConstantResult(
-            name, m, method, scaled, math.factorial(m - 2) * q.std_err, reference
-        )
+        fact = math.factorial(m - 2)
+        return ConstantResult(name, m, method, fact * q.estimate.real, fact * q.std_err, reference)
     raise DomainError(f"unknown method {method!r}")
 
 

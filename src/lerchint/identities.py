@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import qmc as qmc_mod
 from .errors import CancellationWarning, DomainError
 from .lerch import LerchArgs, phi
+from .qmc import QmcOptions
 from .quad1d import QuadResult, is_one, reduced_eval
 from .simplex import (
     FAMILY_DISTINCT,
@@ -49,6 +50,22 @@ from .special import gamma
 
 _DEFAULT_PHI_TOL = 1e-13
 _HURWITZ_MARGIN = 1.05  # smallest Re of a Phi first argument allowed at z=1
+
+
+def _quad_tol(tol: float) -> float:
+    """Reduced-path quadrature tolerance for a relative verification tolerance."""
+    return max(1e-13, tol * 1e-3)
+
+
+def _gaps(a: complex, b: complex) -> tuple[float, float]:
+    """(|a - b|, |a - b| / max(|a|, |b|))."""
+    abs_gap = abs(a - b)
+    return abs_gap, abs_gap / max(abs(a), abs(b), 1e-300)
+
+
+def _cancels(u: complex, v: complex) -> bool:
+    """Whether the f-kernel difference quotient over u - v loses 3 or more digits."""
+    return abs(u - v) < 1e-3
 
 
 @dataclass(frozen=True)
@@ -84,7 +101,7 @@ def rhs_theorem3_pair(
         raise DomainError("pair form needs m > 1")
     u, v, z, s = complex(u), complex(v), complex(z), complex(s)
     _check_distinct((u, v))
-    if abs(u - v) < 1e-3:
+    if _cancels(u, v):
         warnings.warn(
             f"difference quotient at |u-v|={abs(u - v):.2e} loses about "
             f"{int(-math.log10(abs(u - v)))} digits",
@@ -160,14 +177,14 @@ def rhs_theorem5(us, z: complex, s: complex, tol: float = _DEFAULT_PHI_TOL) -> c
     return ClosedForm(terms=tuple(terms)).value(tol)
 
 
-def _rhs_for(spec: IntegrandSpec, tol: float) -> complex:
+def _rhs_for(spec: IntegrandSpec) -> complex:
     if spec.family == FAMILY_SYMMETRIC:
-        return rhs_theorem3_symmetric(spec.m, spec.z, spec.s, spec.u, tol)
+        return rhs_theorem3_symmetric(spec.m, spec.z, spec.s, spec.u)
     if spec.family == FAMILY_F_KERNEL:
-        return rhs_theorem3_pair(spec.m, spec.z, spec.s, spec.exponents[0], spec.exponents[1], tol)
+        return rhs_theorem3_pair(spec.m, spec.z, spec.s, spec.exponents[0], spec.exponents[1])
     if spec.family == FAMILY_THEOREM4:
-        return rhs_theorem4(spec.m, spec.z, spec.s, spec.u, tol)
-    return rhs_theorem5(spec.exponents, spec.z, spec.s, tol)
+        return rhs_theorem4(spec.m, spec.z, spec.s, spec.u)
+    return rhs_theorem5(spec.exponents, spec.z, spec.s)
 
 
 def build_integrand(spec: IntegrandSpec):
@@ -221,14 +238,6 @@ def build_integrand(spec: IntegrandSpec):
 
 
 @dataclass(frozen=True)
-class QmcOptions:
-    points: int = 65536
-    replicates: int = 8
-    seed: int = 1
-    threads: int = 1
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     """Per-identity comparison record.
 
@@ -275,14 +284,7 @@ class VerificationReport:
             "pass": self.pass_,
         }
         if self.lhs_qmc is not None:
-            q = self.lhs_qmc
-            out["lhs_qmc"] = {
-                "estimate": cplx(q.estimate),
-                "std_err": q.std_err,
-                "points": q.points,
-                "replicates": q.replicates,
-                "seed": q.seed,
-            }
+            out["lhs_qmc"] = {**asdict(self.lhs_qmc), "estimate": cplx(self.lhs_qmc.estimate)}
             out["qmc_sigma_gap"] = self.qmc_sigma_gap
         else:
             out["lhs_qmc"] = None
@@ -302,21 +304,11 @@ def _qmc_admissible(spec: IntegrandSpec) -> str | None:
     return None
 
 
-def verify(
-    spec: IntegrandSpec,
-    tol: float = 1e-8,
-    qmc: QmcOptions | None = None,
-    quad_tol: float | None = None,
-    phi_tol: float = _DEFAULT_PHI_TOL,
-) -> VerificationReport:
+def verify(spec: IntegrandSpec, tol: float = 1e-8, qmc: QmcOptions | None = None) -> VerificationReport:
     """Check one identity instance; see the module docstring for the protocol."""
-    if quad_tol is None:
-        quad_tol = max(1e-13, tol * 1e-3)
-    rhs = _rhs_for(spec, phi_tol)
-    lhs = reduced_eval(reduce(spec), quad_tol)
-    abs_gap = abs(rhs - lhs.value)
-    scale = max(abs(rhs), abs(lhs.value), 1e-300)
-    rel_gap = abs_gap / scale
+    rhs = _rhs_for(spec)
+    lhs = reduced_eval(reduce(spec), _quad_tol(tol))
+    abs_gap, rel_gap = _gaps(rhs, lhs.value)
 
     lhs_qmc = None
     sigma_gap = None
@@ -328,15 +320,10 @@ def verify(
             lhs_qmc = qmc_mod.qmc_estimate(
                 f, spec.m, qmc.points, qmc.replicates, qmc.seed, qmc.threads
             )
-            gap = abs(lhs_qmc.estimate - rhs)
-            floor = 1e-15 * (1.0 + abs(lhs_qmc.estimate))
-            sigma_gap = gap / max(lhs_qmc.std_err, floor)
+            sigma_gap = qmc_mod.sigma_gap(lhs_qmc.estimate, lhs_qmc.std_err, rhs)
 
-    passed = bool(rel_gap <= tol) and (lhs_qmc is None or sigma_gap <= 3.0)
-    flagged = (
-        spec.family == FAMILY_F_KERNEL
-        and abs(spec.exponents[0] - spec.exponents[1]) < 1e-3
-    )
+    passed = bool(rel_gap <= tol) and (lhs_qmc is None or sigma_gap <= qmc_mod.PASS_SIGMA)
+    flagged = spec.family == FAMILY_F_KERNEL and _cancels(*spec.exponents)
     return VerificationReport(
         spec=spec,
         rhs=rhs,
@@ -374,9 +361,7 @@ def verify_batch(specs, tol: float = 1e-8, qmc: QmcOptions | None = None) -> lis
     return reports
 
 
-def verify_dimension_lift(
-    m: int, spec2: IntegrandSpec, tol: float = 1e-8, quad_tol: float | None = None
-) -> VerificationReport:
+def verify_dimension_lift(m: int, spec2: IntegrandSpec, tol: float = 1e-8) -> VerificationReport:
     """Check that the 2-D integral equals its m-dimensional lift.
 
     With the log exponent shifted to s-m+2, the m-dimensional integral
@@ -389,8 +374,6 @@ def verify_dimension_lift(
         raise DomainError("dimension lift applies to the single-u and (u,v) families")
     if m < 2:
         raise DomainError("need m >= 2")
-    if quad_tol is None:
-        quad_tol = max(1e-13, tol * 1e-3)
 
     lifted = IntegrandSpec(
         m=m,
@@ -400,12 +383,10 @@ def verify_dimension_lift(
         s=spec2.s - m + 2,
     )
     fact = math.factorial(m - 1 if spec2.family == FAMILY_SYMMETRIC else m - 2)
-    side2 = reduced_eval(reduce(spec2), quad_tol)
-    side_m = reduced_eval(reduce(lifted), quad_tol)
+    side2 = reduced_eval(reduce(spec2), _quad_tol(tol))
+    side_m = reduced_eval(reduce(lifted), _quad_tol(tol))
     lhs = QuadResult(fact * side_m.value, fact * side_m.abs_err, side_m.nodes)
-    abs_gap = abs(side2.value - lhs.value)
-    scale = max(abs(side2.value), abs(lhs.value), 1e-300)
-    rel_gap = abs_gap / scale
+    abs_gap, rel_gap = _gaps(side2.value, lhs.value)
     return VerificationReport(
         spec=lifted,
         rhs=side2.value,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import quad1d
 from .compsum import CompensatedSum
 from .errors import ConvergenceError, DomainError
-from .quad1d import is_one
+from .quad1d import beyond_one, is_one
 from .special import (
     METHOD_DIRECT_SERIES,
     METHOD_QUADRATURE_FALLBACK,
@@ -51,10 +51,9 @@ class LerchArgs:
         object.__setattr__(self, "u", complex(self.u))
         if self.u.real <= 0.0:
             raise DomainError(f"need Re u > 0, got u={self.u}")
-        if is_one(self.z):
-            if self.s.real <= 1.0:
-                raise DomainError(f"z=1 needs Re s > 1, got s={self.s}")
-        elif self.z.imag == 0.0 and self.z.real > 1.0:
+        if is_one(self.z) and self.s.real <= 1.0:
+            raise DomainError(f"z=1 needs Re s > 1, got s={self.s}")
+        if beyond_one(self.z):
             raise DomainError(f"z={self.z} lies on the real ray [1, infinity)")
 
 

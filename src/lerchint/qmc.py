@@ -5,7 +5,8 @@ independent uniform vector modulo 1 to the same deterministic point set,
 giving an unbiased estimator whose replicate spread yields a standard
 error.  Everything is seeded and accumulation order is fixed, so results
 are bit-identical for a given (f, m, points, replicates, seed) regardless
-of how many worker threads evaluate the replicates.
+of how many worker threads evaluate the replicates.  ``sigma_gap`` and
+``PASS_SIGMA`` are the verdict that ``verify`` and the CLI both apply.
 """
 
 from __future__ import annotations
@@ -22,6 +23,25 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 6
 MAX_DIMS = len(_PRIMES)
 
 _BOUNDARY_GAP = 1e-15  # evaluation points stay at least this far from 0 and 1
+PASS_SIGMA = 3.0  # an estimate passes within this many standard errors
+
+
+@dataclass(frozen=True)
+class QmcOptions:
+    """Settings of one estimate, checked on construction."""
+
+    points: int = 65536
+    replicates: int = 8
+    seed: int = 1
+    threads: int = 1
+
+    def __post_init__(self) -> None:
+        if self.points < 1:
+            raise DomainError("points must be positive")
+        if self.replicates < 2:
+            raise DomainError("need at least 2 replicates for a standard error")
+        if self.threads < 1:
+            raise DomainError("threads must be positive")
 
 
 @dataclass(frozen=True)
@@ -35,8 +55,11 @@ class QmcResult:
     def __post_init__(self) -> None:
         if self.std_err < 0.0:
             raise ValueError("std_err must be nonnegative")
-        if self.replicates < 2:
-            raise DomainError("need at least 2 replicates for a standard error")
+
+
+def sigma_gap(estimate: complex, std_err: float, reference: complex) -> float:
+    """|estimate - reference| in standard errors, std_err floored at 1e-15 (1 + |estimate|)."""
+    return abs(estimate - reference) / max(std_err, 1e-15 * (1.0 + abs(estimate)))
 
 
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
@@ -68,10 +91,10 @@ def _halton_array(n: int, dims: int) -> np.ndarray:
 def qmc_estimate(
     f,
     m: int,
-    points: int = 65536,
-    replicates: int = 8,
-    seed: int = 1,
-    threads: int = 1,
+    points: int = QmcOptions.points,
+    replicates: int = QmcOptions.replicates,
+    seed: int = QmcOptions.seed,
+    threads: int = QmcOptions.threads,
 ) -> QmcResult:
     """Shifted-Halton estimate of integral of f over (0,1)^m.
 
@@ -79,41 +102,37 @@ def qmc_estimate(
     must return an (n,) array (real or complex).  The estimate is the mean
     of the replicate means; std_err is their sample standard deviation over
     sqrt(replicates).
+
+    ``threads`` worker threads evaluate the replicates; the result is
+    bit-identical for every thread count.  On a 2-core host threads = 2
+    did not shorten wall time: its time over threads = 1 was 0.80-1.17,
+    mostly about 1.0, for 2^14-2^18 points and m = 2, 4, 6.
     """
+    opts = QmcOptions(points, replicates, seed, threads)
     if not 1 <= m <= MAX_DIMS:
         raise DomainError(f"m must lie in [1, {MAX_DIMS}], got {m}")
-    if points < 1:
-        raise DomainError("points must be positive")
-    if replicates < 2:
-        raise DomainError("need at least 2 replicates for a standard error")
-    if threads < 1:
-        raise DomainError("threads must be positive")
 
-    base = _halton_array(points, m)
-    shifts = np.random.default_rng(seed).random((replicates, m))
+    base = _halton_array(opts.points, m)
+    shifts = np.random.default_rng(opts.seed).random((opts.replicates, m))
 
     def one_replicate(r: int) -> complex:
-        pts = (base + shifts[r]) % 1.0
+        pts = base + shifts[r]
+        pts -= pts >= 1.0  # both terms lie in [0, 1): this is the sum mod 1, exactly
         np.clip(pts, _BOUNDARY_GAP, 1.0 - _BOUNDARY_GAP, out=pts)
         vals = np.asarray(f(pts))
-        if vals.shape != (points,):
+        if vals.shape != (opts.points,):
             raise EvaluationError(
-                f"integrand returned shape {vals.shape}, expected ({points},)"
+                f"integrand returned shape {vals.shape}, expected ({opts.points},)"
             )
-        if not np.all(np.isfinite(vals.real)) or (
-            np.iscomplexobj(vals) and not np.all(np.isfinite(vals.imag))
-        ):
+        if not np.all(np.isfinite(vals)):  # complex: both parts finite
             raise EvaluationError("integrand returned a non-finite value")
         return complex(vals.mean())
 
-    if threads == 1:
-        means = [one_replicate(r) for r in range(replicates)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            means = list(pool.map(one_replicate, range(replicates)))
+    with ThreadPoolExecutor(max_workers=opts.threads) as pool:
+        means = list(pool.map(one_replicate, range(opts.replicates)))
 
     arr = np.array(means, dtype=complex)
     estimate = complex(arr.mean())
-    var = float(np.sum(np.abs(arr - estimate) ** 2)) / (replicates - 1)
-    std_err = math.sqrt(var / replicates)
-    return QmcResult(estimate, std_err, points, replicates, seed)
+    var = float(np.sum(np.abs(arr - estimate) ** 2)) / (opts.replicates - 1)
+    std_err = math.sqrt(var / opts.replicates)
+    return QmcResult(estimate, std_err, opts.points, opts.replicates, opts.seed)

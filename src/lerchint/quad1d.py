@@ -78,13 +78,19 @@ class KernelTerm:
     def __post_init__(self) -> None:
         if complex(self.w).real <= 0.0:
             raise DomainError(f"kernel needs Re w > 0 for integrability at 0, got w={self.w}")
-        if complex(self.z).imag == 0.0 and complex(self.z).real > 1.0:
+        if beyond_one(self.z):
             raise DomainError(f"kernel denominator vanishes on (0,1) for z={self.z}")
 
 
 def is_one(z: complex) -> bool:
     """The z = 1 predicate every module dispatches on."""
     return abs(z - 1.0) <= 1e-14
+
+
+def beyond_one(z: complex) -> bool:
+    """z real, above 1 and not ``is_one``: the ray where 1/(1 - z t) has a pole in (0,1)."""
+    z = complex(z)
+    return z.imag == 0.0 and z.real > 1.0 and not is_one(z)
 
 
 @dataclass(frozen=True)
@@ -319,7 +325,7 @@ def _kernel_group(terms: list):
     return level_sum
 
 
-def reduced_eval(reduced, tol: float = DEFAULT_TOL, max_level: int = DEFAULT_MAX_LEVEL) -> QuadResult:
+def reduced_eval(reduced, tol: float = DEFAULT_TOL) -> QuadResult:
     """Evaluate a weighted sum of kernel terms: sum_i c_i * K(z_i, w_i, p_i).
 
     The whole sum is integrated in one tanh-sinh pass with one convergence
@@ -349,20 +355,14 @@ def reduced_eval(reduced, tol: float = DEFAULT_TOL, max_level: int = DEFAULT_MAX
             raise EvaluationError(f"kernel sum produced non-finite node values: {terms}")
         return total, len(nodes.t)
 
-    return _integrate(level_sum, tol, max_level)
+    return _integrate(level_sum, tol, DEFAULT_MAX_LEVEL)
 
 
-def lerch_kernel_integral(
-    z: complex,
-    w: complex,
-    p: complex,
-    tol: float = DEFAULT_TOL,
-    max_level: int = DEFAULT_MAX_LEVEL,
-) -> QuadResult:
+def lerch_kernel_integral(z: complex, w: complex, p: complex, tol: float = DEFAULT_TOL) -> QuadResult:
     """integral_0^1 t^(w-1) (-ln t)^p / (1 - z t) dt.
 
     Its value equals gamma(p+1) * Phi(z, p+1, w), which is exactly what the
     cross-checks in the test suite exercise; here it is computed purely by
     quadrature, as a one-term ``reduced_eval``.
     """
-    return reduced_eval((KernelTerm(1.0, w, p, z),), tol, max_level)
+    return reduced_eval((KernelTerm(1.0, w, p, z),), tol)

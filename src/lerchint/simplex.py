@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DegeneracyError, DomainError
-from .quad1d import KernelTerm, is_one
+from .quad1d import KernelTerm, beyond_one, is_one
 
 FAMILY_DISTINCT = "distinct-exponents"
 FAMILY_SYMMETRIC = "symmetric"
@@ -107,9 +107,9 @@ class IntegrandSpec:
         if self.family in (FAMILY_DISTINCT, FAMILY_F_KERNEL):
             _check_distinct(exps)
 
-        z_is_one = is_one(self.z)
-        if not z_is_one and self.z.imag == 0.0 and self.z.real > 1.0:
+        if beyond_one(self.z):
             raise DomainError(f"z={self.z} lies on the real ray beyond 1")
+        z_is_one = is_one(self.z)
         bound = _s_lower_bound(self.family, self.m, z_is_one)
         if not self.s.real > bound:
             raise DomainError(

@@ -220,6 +220,14 @@ class TestVerify:
         assert rep.lhs_qmc is None
         assert "Re s" in rep.qmc_skip_reason
 
+    def test_z_within_is_one_of_one_matches_z_one(self):
+        # is_one counts 1 + 4e-15 as z = 1 in the spec, the closed form and the kernel terms
+        near = verify(IntegrandSpec(2, "symmetric", (1.5,), 1 + 4e-15, 1.0))
+        exact = verify(IntegrandSpec(2, "symmetric", (1.5,), 1.0, 1.0))
+        assert near.pass_
+        assert abs(near.rhs - exact.rhs) <= near.tol * abs(exact.rhs)
+        assert abs(near.lhs_reduced.value - exact.lhs_reduced.value) <= near.tol * abs(exact.rhs)
+
     def test_report_json_roundtrip(self):
         import json
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from lerchint import DomainError, EvaluationError, halton_point, qmc_estimate
+from lerchint import DomainError, EvaluationError, QmcOptions, halton_point, qmc_estimate
+from lerchint.qmc import sigma_gap
 
 
 class TestHaltonPoint:
@@ -68,6 +69,22 @@ class TestQmcEstimate:
         assert np.all(allpts > 0.0)
         assert np.all(allpts < 1.0)
 
+    def test_wrap_matches_float_modulo(self):
+        seen = []
+
+        def probe(p):
+            seen.append(p.copy())
+            return np.ones(len(p))
+
+        qmc_estimate(probe, m=3, points=512, replicates=4, seed=5)
+        halton = np.array([halton_point(i, 3) for i in range(512)])
+        shifts = np.random.default_rng(5).random((4, 3))
+        assert len(seen) == 4
+        for got, shift in zip(seen, shifts):
+            assert np.any(halton + shift >= 1.0)
+            want = np.clip((halton + shift) % 1.0, 1e-15, 1 - 1e-15)
+            assert got.tobytes() == want.tobytes()
+
     def test_determinism_same_seed(self):
         f = lambda p: np.cos(2.5 * p.sum(axis=1))  # noqa: E731
         a = qmc_estimate(f, m=3, points=1024, replicates=4, seed=42)
@@ -91,6 +108,17 @@ class TestQmcEstimate:
     def test_replicate_floor(self):
         with pytest.raises(DomainError):
             qmc_estimate(lambda p: np.ones(len(p)), m=1, points=64, replicates=1, seed=1)
+
+    @pytest.mark.parametrize("kwargs", [{"points": 0}, {"replicates": 1}, {"threads": 0}])
+    def test_options_checked_on_construction(self, kwargs):
+        with pytest.raises(DomainError):
+            QmcOptions(**kwargs)
+
+    def test_sigma_gap_floor_scales_with_estimate(self):
+        assert sigma_gap(4.0, 1e-3, 4.003) == pytest.approx(3.0)
+        # replicates that agree to rounding: std_err is floored at 1e-15 (1 + |estimate|)
+        gap = 8 * 2.0 ** -50
+        assert sigma_gap(4.0, 0.0, 4.0 + gap) == pytest.approx(gap / 5e-15)
 
     def test_nonfinite_rejected(self):
         def bad(p):
