@@ -24,6 +24,7 @@ MAX_DIMS = len(_PRIMES)
 
 _BOUNDARY_GAP = 1e-15  # evaluation points stay at least this far from 0 and 1
 PASS_SIGMA = 3.0  # an estimate passes within this many standard errors
+_BLOCK = 1 << 14  # rows per integrand call; bounds each replicate's temporaries
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,11 @@ def qmc_estimate(
     """Shifted-Halton estimate of integral of f over (0,1)^m.
 
     ``f`` receives an (n, m) array of points strictly inside the cube and
-    must return an (n,) array (real or complex).  The estimate is the mean
-    of the replicate means; std_err is their sample standard deviation over
-    sqrt(replicates).
+    must return an (n,) array (real or complex); it is called on blocks of
+    at most 2^14 points, so a replicate's temporaries stay a few MB whatever
+    ``points`` is.  The estimate is the mean of the replicate means, each
+    taken over all its points at once; std_err is their sample standard
+    deviation over sqrt(replicates).
 
     ``threads`` worker threads evaluate the replicates; the result is
     bit-identical for every thread count.  On a 2-core host threads = 2
@@ -115,15 +118,21 @@ def qmc_estimate(
     base = _halton_array(opts.points, m)
     shifts = np.random.default_rng(opts.seed).random((opts.replicates, m))
 
-    def one_replicate(r: int) -> complex:
-        pts = base + shifts[r]
+    def one_block(rows: np.ndarray, shift: np.ndarray) -> np.ndarray:
+        pts = rows + shift
         pts -= pts >= 1.0  # both terms lie in [0, 1): this is the sum mod 1, exactly
         np.clip(pts, _BOUNDARY_GAP, 1.0 - _BOUNDARY_GAP, out=pts)
         vals = np.asarray(f(pts))
-        if vals.shape != (opts.points,):
+        if vals.shape != (len(rows),):
             raise EvaluationError(
-                f"integrand returned shape {vals.shape}, expected ({opts.points},)"
+                f"integrand returned shape {vals.shape}, expected ({len(rows)},)"
             )
+        return vals
+
+    def one_replicate(r: int) -> complex:
+        vals = np.concatenate(
+            [one_block(base[lo:lo + _BLOCK], shifts[r]) for lo in range(0, opts.points, _BLOCK)]
+        )
         if not np.all(np.isfinite(vals)):  # complex: both parts finite
             raise EvaluationError("integrand returned a non-finite value")
         return complex(vals.mean())

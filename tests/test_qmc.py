@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lerchint import DomainError, EvaluationError, QmcOptions, halton_point, qmc_estimate
-from lerchint.qmc import sigma_gap
+from lerchint.qmc import _halton_array, sigma_gap
 
 
 class TestHaltonPoint:
@@ -84,6 +84,25 @@ class TestQmcEstimate:
             assert np.any(halton + shift >= 1.0)
             want = np.clip((halton + shift) % 1.0, 1e-15, 1 - 1e-15)
             assert got.tobytes() == want.tobytes()
+
+    def test_blocks_cover_every_point_once(self):
+        seen = []
+
+        def probe(p):
+            seen.append(p.copy())
+            return p[:, 0] * p[:, 1]
+
+        n = 2 ** 14 + 100
+        r = qmc_estimate(probe, m=2, points=n, replicates=2, seed=3)
+        assert [len(p) for p in seen] == [2 ** 14, 100, 2 ** 14, 100]
+        halton = _halton_array(n, 2)
+        means = []
+        for k, shift in enumerate(np.random.default_rng(3).random((2, 2))):
+            want = np.clip((halton + shift) % 1.0, 1e-15, 1 - 1e-15)
+            got = np.concatenate(seen[2 * k:2 * k + 2])
+            assert got.tobytes() == want.tobytes()
+            means.append(complex((want[:, 0] * want[:, 1]).mean()))
+        assert r.estimate == complex(np.mean(np.array(means)))
 
     def test_determinism_same_seed(self):
         f = lambda p: np.cos(2.5 * p.sum(axis=1))  # noqa: E731
