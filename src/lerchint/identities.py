@@ -196,14 +196,29 @@ def build_integrand(spec: IntegrandSpec):
     logs, and for z = 1 the 1 - prod(x) factor is computed as -expm1(sum of
     logs), so the integrand stays finite and accurate up to the cube's
     corner at machine precision.
+
+    The power factor of prod(x) and (-ln prod(x))^s share one exponential:
+    with L = ln prod(x), the symmetric integrand is
+    exp((u-1) L + s ln(-L)) / (1 - z e^L), and the other families multiply
+    the same kind of fused factor by their kernel sums.  A real z, s or set
+    of exponents keeps its own factor in float64 even when another
+    parameter is complex.  The running log sums are built by in-place
+    column adds, in cumsum's order, and complex distinct exponents enter
+    through two real matrix-vector products.
     """
     m = spec.m
     z_one = is_one(spec.z)
-    params = (spec.z, spec.s) + spec.exponents
-    if all(p.imag == 0.0 for p in params):
-        # real inputs run the same expressions in float64
-        params = tuple(p.real for p in params)
-    z, s, exps = params[0], params[1], params[2:]
+    z, s = (p.real if p.imag == 0.0 else p for p in (spec.z, spec.s))
+    exps = spec.exponents
+    if all(e.imag == 0.0 for e in exps):
+        exps = tuple(e.real for e in exps)
+    if spec.family == FAMILY_DISTINCT:
+        weights = np.array(exps) - 1.0
+    elif spec.family == FAMILY_F_KERNEL:
+        u, v = exps
+        power = v - 1.0
+    else:
+        power = exps[0] - 1.0
 
     def f(pts):
         x = np.asarray(pts, dtype=float)
@@ -212,26 +227,25 @@ def build_integrand(spec: IntegrandSpec):
             x = x[None, :]
         if x.shape[1] != m:
             raise DomainError(f"points have dimension {x.shape[1]}, spec has m={m}")
-        lx = np.log(x)
-        lcum = np.cumsum(lx, axis=1)
-        ltot = lcum[:, -1]
+        lcum = np.log(x)
         if spec.family == FAMILY_DISTINCT:
-            weights = np.array(exps) - 1.0
-            num = np.exp(lx @ weights)
-        elif spec.family == FAMILY_SYMMETRIC:
-            num = np.exp((exps[0] - 1.0) * ltot)
-        elif spec.family == FAMILY_F_KERNEL:
-            u, v = exps
-            partial = np.exp((u - v) * lcum[:, :-1]).sum(axis=1)
-            num = np.exp((v - 1.0) * ltot) * partial
-        else:  # theorem4-kernel: m-1 - x1 - x1x2 - ... = sum(1 - partial products)
-            gaps = -np.expm1(lcum[:, :-1])
-            num = gaps.sum(axis=1) * np.exp((exps[0] - 1.0) * ltot)
-        if z_one:
-            den = -np.expm1(ltot)
-        else:
-            den = 1.0 - z * np.exp(ltot)
-        vals = num / den * np.exp(s * np.log(-ltot))
+            expo = lcum @ weights.real
+            if np.iscomplexobj(weights):
+                expo = expo + 1j * (lcum @ weights.imag)
+        for j in range(1, m):  # lcum becomes the running sums of the logs
+            lcum[:, j] += lcum[:, j - 1]
+        ltot = lcum[:, -1]
+        if spec.family != FAMILY_DISTINCT:
+            expo = power * ltot
+        expo = expo + s * np.log(-ltot)
+        num = np.exp(expo)  # complex exactly when s or the exponents are
+        # the kernel sums run over the m - 1 proper partial products, column by column
+        if spec.family == FAMILY_F_KERNEL:
+            num *= sum(np.exp((u - v) * lcum[:, j]) for j in range(m - 1))
+        elif spec.family == FAMILY_THEOREM4:  # m-1 - x1 - x1x2 - ... = sum(1 - partial products)
+            num *= -sum(np.expm1(lcum[:, j]) for j in range(m - 1))
+        den = -np.expm1(ltot) if z_one else 1.0 - z * np.exp(ltot)
+        vals = num / den
         return vals[0] if single else vals
 
     return f

@@ -175,6 +175,62 @@ class TestBuildIntegrand:
             )
             assert val == pytest.approx(expected, rel=1e-12)
 
+    @staticmethod
+    def _written_out(family, exps, z, s, x):
+        """The integrand at one point as the product the identity states."""
+        m = len(x)
+        prod = math.prod(x)
+        if family == "symmetric":
+            num = prod ** (exps[0] - 1)
+        elif family == "f-kernel":
+            u, v = exps
+            num = sum(
+                math.prod(xi ** (u - 1) for xi in x[:k]) * math.prod(xi ** (v - 1) for xi in x[k:])
+                for k in range(1, m)
+            )
+        elif family == "theorem4-kernel":
+            num = (m - 1 - sum(math.prod(x[:k]) for k in range(1, m))) * prod ** (exps[0] - 1)
+        else:
+            num = math.prod(xi ** (ui - 1) for xi, ui in zip(x, exps))
+        return num / (1 - z * prod) * (-math.log(prod)) ** s
+
+    @pytest.mark.parametrize("z", [0.3 + 0.4j, 1.0])
+    @pytest.mark.parametrize(
+        "family,exps,s",
+        [
+            ("symmetric", (1.4 + 0.3j,), 1.2 + 0.5j),
+            ("f-kernel", (2.2 + 0.4j, 1.3 - 0.2j), 0.8 + 0.5j),
+            ("theorem4-kernel", (1.6 - 0.3j,), 1.1 - 0.4j),
+            ("distinct-exponents", (1.2 + 0.2j, 1.9 - 0.1j, 2.6 + 0.3j, 1.5), 0.7 + 0.6j),
+            ("f-kernel", (2.2, 1.3), 0.8 + 0.5j),  # real exponents, complex s
+        ],
+    )
+    def test_complex_parameters_match_written_out_form(self, family, exps, s, z):
+        pts = np.array([[0.3, 0.7, 0.2, 0.9], [0.85, 0.4, 0.6, 0.05], [0.99, 0.95, 0.9, 0.97]])
+        f = build_integrand(IntegrandSpec(m=4, family=family, exponents=exps, z=z, s=s))
+        vals = f(pts)
+        assert vals.dtype == complex
+        for row, val in zip(pts, vals):
+            assert val == pytest.approx(self._written_out(family, exps, z, s, list(row)), rel=1e-13)
+
+    @pytest.mark.parametrize("z", [1.0, -1.0])
+    def test_corner_constant_integrand_is_real(self, z):
+        from lerchint.constants import theorem4_corner_integrand
+
+        m = 3
+        f = theorem4_corner_integrand(m, z)
+        pts = np.array([[0.3, 0.7, 0.2], [0.9, 0.95, 0.99], [1 - 1e-9, 1 - 1e-9, 1 - 1e-9]])
+        vals = f(pts)
+        assert vals.dtype == np.float64
+        for row, val in zip(pts, vals):
+            x = list(row)
+            # m-1 - x1 - x1x2 over (1 - z prod)(-ln prod)^(m-1), written with expm1 so the
+            # corner row keeps its digits
+            gaps = -sum(math.expm1(sum(math.log(xi) for xi in x[:k])) for k in range(1, m))
+            ltot = sum(math.log(xi) for xi in x)
+            den = -math.expm1(ltot) if z == 1.0 else 1 - z * math.exp(ltot)
+            assert val == pytest.approx(gaps / den * (-ltot) ** (1 - m), rel=1e-13)
+
     def test_z_one_face_is_finite(self):
         spec = IntegrandSpec(m=2, family="symmetric", exponents=(1.5,), z=1.0, s=1.0)
         f = build_integrand(spec)
