@@ -11,7 +11,6 @@ of how many worker threads evaluate the replicates.  ``sigma_gap`` and
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,7 +25,6 @@ MAX_DIMS = len(_PRIMES)
 _BOUNDARY_GAP = 1e-15  # evaluation points stay at least this far from 0 and 1
 PASS_SIGMA = 3.0  # an estimate passes within this many standard errors
 _BLOCK = 1 << 14  # rows per integrand call; bounds each replicate's temporaries
-_TABLE_MAX = 1 << 12  # most entries in one base's table of low-digit radical inverses
 
 
 @dataclass(frozen=True)
@@ -66,15 +64,16 @@ def sigma_gap(estimate: complex, std_err: float, reference: complex) -> float:
 
 
 def _add_digits(
-    result: np.ndarray, n: np.ndarray, base: int, factor: float,
-    digit: np.ndarray, term: np.ndarray,
-) -> float:
-    """Add factor * digit for each base-``base`` digit of n >= 0, low digit first.
+    result: np.ndarray, n: np.ndarray, base: int, digit: np.ndarray, term: np.ndarray,
+) -> None:
+    """Add the base-``base`` radical inverse of each n >= 0 to result.
 
-    The radical-inverse digit loop: each pass divides factor by base once
-    more, and passes run until every n is 0.  Works in place on result and
-    n, using digit and term as scratch; returns the factor of the next digit.
+    The digit loop, low digit first: each pass adds factor * digit, with
+    factor starting at 1 / base and divided by base once more per pass, and
+    passes run until every n is 0.  Works in place on result and n, using
+    digit and term as scratch.
     """
+    factor = 1.0 / base
     top = int(n.max(initial=0))
     while top:
         np.divmod(n, base, out=(n, digit))
@@ -82,46 +81,22 @@ def _add_digits(
         result += term
         factor /= base
         top //= base
-    return factor
-
-
-@functools.cache
-def _digit_table(base: int) -> tuple[np.ndarray, int, float]:
-    """Radical inverses of 0 .. base^k - 1 for the largest base^k <= 2^12.
-
-    Built on first use by ``_add_digits``, so an entry holds the partial sum
-    of an index's low k digits with the same factors, in the same order, as
-    the full loop; returns the read-only table, base^k and the factor of
-    digit k + 1.
-    """
-    size = base
-    while size * base <= _TABLE_MAX:
-        size *= base
-    table = np.zeros(size)
-    n = np.arange(size, dtype=np.int64)
-    factor = _add_digits(table, n, base, 1.0 / base, np.empty_like(n), np.empty(size))
-    table.flags.writeable = False
-    return table, size, factor
 
 
 def _halton_array(n: int, dims: int, start: int = 1) -> np.ndarray:
     """Halton points start .. start + n - 1 in the first ``dims`` prime bases, as (n, dims).
 
-    Per base, the radical inverse of each index takes its low digits from
-    the base's table and finishes the high digits with the digit loop,
-    continued where the table stopped, so every coordinate is bit-identical
-    to the loop run alone.  Each column is built in scratch of length n and
-    written once into the output.
+    Each column is built by the digit loop in scratch of length n, with one
+    in-place ``np.divmod`` per digit, and written once into the output.
     """
     idx = np.arange(start, start + n, dtype=np.int64)
     out = np.empty((n, dims))
-    high, low = np.empty_like(idx), np.empty_like(idx)
+    rest, digit = np.empty_like(idx), np.empty_like(idx)
     col, term = np.empty(n), np.empty(n)
     for j, base in enumerate(_PRIMES[:dims]):
-        table, size, factor = _digit_table(base)
-        np.divmod(idx, size, out=(high, low))
-        np.take(table, low, out=col, mode="clip")  # low < size, so clip never acts
-        _add_digits(col, high, base, factor, low, term)
+        rest[:] = idx
+        col.fill(0.0)
+        _add_digits(col, rest, base, digit, term)
         out[:, j] = col
     return out
 
@@ -152,15 +127,13 @@ def qmc_estimate(
     taken over all its points at once; std_err is their sample standard
     deviation over sqrt(replicates).
 
-    The Halton points are built once per call; each base reads an index's
-    low digits from a table of at most 2^12 entries, built on first use,
-    and finishes the high digits with the digit loop, so the points are
-    bit-identical to the loop alone.
+    The Halton points are built once per call and are bit-identical to the
+    plain radical-inverse digit loop.
 
     ``threads`` worker threads evaluate the replicates; the result is
     bit-identical for every thread count.  On a 2-core host, with the four
-    identity integrands at complex z and s, threads = 2 took 0.53-0.83 of
-    the threads = 1 wall time (median 0.70) for 2^14, 2^16 and 2^18 points
+    identity integrands at complex z and s, threads = 2 took 0.59-0.98 of
+    the threads = 1 wall time (median 0.71) for 2^14, 2^16 and 2^18 points
     and m = 2, 4, 6.
     """
     opts = QmcOptions(points, replicates, seed, threads)

@@ -1,13 +1,8 @@
 """Halton points, random shifts, determinism."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-import lerchint
 from lerchint import DomainError, EvaluationError, QmcOptions, halton_point, qmc_estimate
 from lerchint.qmc import _PRIMES, MAX_DIMS, _halton_array, sigma_gap
 
@@ -50,8 +45,8 @@ class TestHaltonPoint:
             halton_point(-1, 1)
 
 
-class TestHaltonTables:
-    # 3^8 + 5 runs past base 3's 3^7-entry table into two more digits
+class TestHaltonDigitLoop:
+    # 3^8 + 5 runs base 3 to nine digits
     @pytest.mark.parametrize("n", [5000, 3 ** 8 + 5])
     def test_bit_identical_to_digit_loop(self, n):
         idx = np.arange(1, n + 1, dtype=np.int64)
@@ -61,14 +56,6 @@ class TestHaltonTables:
         for i in list(range(0, n, 97)) + [2186, 2187, 4095, 4096, n - 1]:
             assert halton_point(i, MAX_DIMS) == tuple(want[i])
             assert halton_point(i, 3) == tuple(want[i, :3])
-
-    def test_import_builds_no_digit_table(self):
-        # the tables are built on the first Halton call, never at import
-        src = os.path.dirname(os.path.dirname(os.path.abspath(lerchint.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        code = "import sys, lerchint; sys.exit(lerchint.qmc._digit_table.cache_info().currsize)"
-        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestQmcEstimate:

@@ -16,6 +16,6 @@ def test_same_numbers_finds_a_tree_identical_to_itself():
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "20 vs 20 operations; agree within rtol 0"
+    assert lines[-1] == "20 vs 20 operations; identical"
     pass_row = next(line.split() for line in lines if line.startswith("verify.pass_ "))
     assert int(pass_row[1]) > 0 and pass_row[2:] == ["0", "-"]

@@ -11,9 +11,9 @@ operation that raises gives ``error``), and for each field the script prints
 how many operations gave identical values, how many differ, and the largest
 relative difference |a - b| / max(|a|, |b|).
 
-Exit status: 0 when every numeric field agrees within --rtol (default 0,
-that is byte-identical) and every other field, such as a pass flag, is
-equal; 1 otherwise; 2 when a tree cannot be run.
+Exit status: 0 when every field of every operation is identical, 1 when
+any differs, 2 when a tree cannot be run.  Whether a difference is small
+enough is read from the max_rel_diff column.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def _rel_diff(a: float, b: float) -> float:
     return diff / scale if math.isfinite(diff) and scale > 0.0 else math.inf
 
 
-def compare(old: list, new: list, rtol: float) -> bool:
-    """Print per-field identical and differing counts; True when all agree within rtol."""
+def compare(old: list, new: list) -> bool:
+    """Print per-field identical and differing counts; True when every field is identical."""
     stats: dict[str, list] = {}  # field -> [identical, differing, max rel diff or None]
     for a_row, b_row in zip(old, new):
         for key in sorted(set(a_row) | set(b_row)):
@@ -106,9 +106,8 @@ def compare(old: list, new: list, rtol: float) -> bool:
     for key, (same, differ, rel) in stats.items():
         shown = "-" if differ == 0 else ("not numeric" if rel is None else f"{rel:.3g}")
         print(f"{key:<{width}}  {same:>9}  {differ:>9}  {shown}")
-        ok = ok and (differ == 0 or (rel is not None and rel <= rtol))
-    print(f"{len(old)} vs {len(new)} operations; "
-          f"{'agree' if ok else 'DIFFER'} within rtol {rtol:g}")
+        ok = ok and differ == 0
+    print(f"{len(old)} vs {len(new)} operations; {'identical' if ok else 'DIFFER'}")
     return ok
 
 
@@ -120,7 +119,6 @@ def main() -> int:
                     choices=("phi-mix", "verify-reduced", "verify-qmc"))
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--ops", type=int, default=35)
-    ap.add_argument("--rtol", type=float, default=0.0)
     ap.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.dump:
@@ -133,7 +131,7 @@ def main() -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0 if compare(old, new, args.rtol) else 1
+    return 0 if compare(old, new) else 1
 
 
 if __name__ == "__main__":
