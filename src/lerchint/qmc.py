@@ -63,41 +63,43 @@ def sigma_gap(estimate: complex, std_err: float, reference: complex) -> float:
     return abs(estimate - reference) / max(std_err, 1e-15 * (1.0 + abs(estimate)))
 
 
-def _add_digits(
-    result: np.ndarray, n: np.ndarray, base: int, digit: np.ndarray, term: np.ndarray,
-) -> None:
-    """Add the base-``base`` radical inverse of each n >= 0 to result.
-
-    The digit loop, low digit first: each pass adds factor * digit, with
-    factor starting at 1 / base and divided by base once more per pass, and
-    passes run until every n is 0.  Works in place on result and n, using
-    digit and term as scratch.
-    """
-    factor = 1.0 / base
-    top = int(n.max(initial=0))
-    while top:
-        np.divmod(n, base, out=(n, digit))
-        np.multiply(digit, factor, out=term)
-        result += term
-        factor /= base
-        top //= base
-
-
 def _halton_array(n: int, dims: int, start: int = 1) -> np.ndarray:
     """Halton points start .. start + n - 1 in the first ``dims`` prime bases, as (n, dims).
 
-    Each column is built by the digit loop in scratch of length n, with one
-    in-place ``np.divmod`` per digit, and written once into the output.
+    Column j is the base-b radical inverse (b the j-th prime) that the digit
+    loop gives: from 0.0, add d * f for each digit d, low digit first, with
+    f = 1 / b divided by b once more per digit.  It is built from a table:
+
+    - ``low[r]`` is the loop's partial sum over the L low digits of r, for
+      every r < b^L, built level by level as low[q b^l + r] = low[r] + q f_l
+      for q < b.  L is the largest level with b^L <= n, so the table has at
+      most max(n, 1) entries, whatever ``start`` is.
+    - As n < b^(L+1), the indices fall into at most b + 1 contiguous runs
+      that share their digits above the L-th.  Each run copies its slice of
+      ``low``, then adds d * f for each of those digits, low digit first.
+
+    Each addition is the loop's own, with the same product in the same
+    order, so the result is bit-identical to the loop; the leading zero
+    digits the loop also visits add an exact 0.0.
     """
-    idx = np.arange(start, start + n, dtype=np.int64)
+    if not 1 <= dims <= MAX_DIMS:
+        raise DomainError(f"dims must lie in [1, {MAX_DIMS}], got {dims}")
     out = np.empty((n, dims))
-    rest, digit = np.empty_like(idx), np.empty_like(idx)
-    col, term = np.empty(n), np.empty(n)
     for j, base in enumerate(_PRIMES[:dims]):
-        rest[:] = idx
-        col.fill(0.0)
-        _add_digits(col, rest, base, digit, term)
-        out[:, j] = col
+        low, factor = np.zeros(1), 1.0 / base
+        while len(low) * base <= n:
+            low = np.add.outer(np.arange(base) * factor, low).ravel()
+            factor /= base
+        size = len(low)
+        for high in range(start // size, (start + n - 1) // size + 1):
+            lo, hi = max(start, high * size), min(start + n, (high + 1) * size)
+            run = out[lo - start:hi - start, j]
+            run[:] = low[lo - high * size:hi - high * size]
+            f, rest = factor, high
+            while rest:
+                rest, d = divmod(rest, base)
+                run += d * f
+                f /= base
     return out
 
 
@@ -105,8 +107,6 @@ def halton_point(index: int, dims: int) -> tuple[float, ...]:
     """Coordinates of one Halton point, index offset by 1 so none are 0."""
     if index < 0:
         raise DomainError("index must be nonnegative")
-    if not 1 <= dims <= MAX_DIMS:
-        raise DomainError(f"dims must lie in [1, {MAX_DIMS}], got {dims}")
     return tuple(float(c) for c in _halton_array(1, dims, index + 1)[0])
 
 

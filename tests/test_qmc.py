@@ -1,5 +1,7 @@
 """Halton points, random shifts, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,39 @@ class TestHaltonDigitLoop:
         for i in list(range(0, n, 97)) + [2186, 2187, 4095, 4096, n - 1]:
             assert halton_point(i, MAX_DIMS) == tuple(want[i])
             assert halton_point(i, 3) == tuple(want[i, :3])
+
+    # ranges that start off 1 and cross a power of the base, and start = 0
+    @pytest.mark.parametrize(
+        "start, n", [(2 ** 18 - 3, 10), (3 ** 8 - 2, 3 ** 8 + 9), (123457, 70000), (0, 50)]
+    )
+    def test_ranges_bit_identical_to_digit_loop(self, start, n):
+        idx = np.arange(start, start + n, dtype=np.int64)
+        want = np.column_stack([_loop_radical_inverse(idx, b) for b in _PRIMES])
+        assert _halton_array(n, MAX_DIMS, start).tobytes() == want.tobytes()
+
+    def test_empty_range(self):
+        assert _halton_array(0, 7).shape == (0, 7)
+        assert _halton_array(0, MAX_DIMS, 10 ** 9).shape == (0, MAX_DIMS)
+
+    @pytest.mark.parametrize("index", [10 ** 9 + 7, 10 ** 12])
+    def test_far_point_bit_identical_to_digit_loop(self, index):
+        idx = np.array([index + 1], dtype=np.int64)
+        want = tuple(float(_loop_radical_inverse(idx, b)[0]) for b in _PRIMES)
+        assert halton_point(index, MAX_DIMS) == want
+
+    def test_far_point_allocates_little(self):
+        # the table is sized by the number of points, never by the index
+        tracemalloc.start()
+        try:
+            halton_point(10 ** 12, MAX_DIMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024
+
+    def test_dims_checked_by_array(self):
+        with pytest.raises(DomainError, match=r"dims must lie in \[1, 20\], got 21"):
+            _halton_array(4, 21)
 
 
 class TestQmcEstimate:
