@@ -35,20 +35,10 @@ from .identities import (
     verify_batch,
     verify_dimension_lift,
 )
-from .lerch import LerchArgs, phi, phi_du_fd, phi_shift_u
+from .lerch import LerchArgs, phi
 from .qmc import QmcOptions, QmcResult, halton_point, qmc_estimate
 from .quad1d import KernelTerm, QuadResult, lerch_kernel_integral, reduced_eval, tanh_sinh
-from .simplex import (
-    FAMILIES,
-    IntegrandSpec,
-    ReducedIntegrand,
-    brute_simplex,
-    distinct_exponent_simplex,
-    lagrange_residual,
-    log_simplex_volume,
-    power_sum_simplex,
-    reduce,
-)
+from .simplex import FAMILIES, IntegrandSpec, ReducedIntegrand, reduce
 from .special import EvalResult, alt_lerch, gamma, hurwitz_zeta
 
 __version__ = "0.1.0"
@@ -75,21 +65,14 @@ __all__ = [
     "ReducedIntegrand",
     "VerificationReport",
     "alt_lerch",
-    "brute_simplex",
     "build_integrand",
-    "distinct_exponent_simplex",
     "euler_gamma_via_integral",
     "gamma",
     "halton_point",
     "hurwitz_zeta",
-    "lagrange_residual",
     "lerch_kernel_integral",
     "ln4_over_pi_via_integral",
-    "log_simplex_volume",
     "phi",
-    "phi_du_fd",
-    "phi_shift_u",
-    "power_sum_simplex",
     "qmc_estimate",
     "reduce",
     "reduced_eval",

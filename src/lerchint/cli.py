@@ -14,7 +14,8 @@ on error paths; exit codes carry pass/fail:
 Complex literals parse as ``a``, ``ai``, ``a+bi`` or ``a-bi`` with decimal
 reals.  Spec files for ``reduce`` are JSON objects
 {"m":…, "family":…, "exponents":[…], "z":…, "s":…} with complex entries
-either as numbers (real) or {"re":…, "im":…} objects.
+either as numbers (real) or {"re":…, "im":…} objects; a document whose
+fields cannot be read that way is an argument error (exit 2).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sys
 
 from .constants import euler_gamma_via_integral, ln4_over_pi_via_integral
 from .errors import ConvergenceError, DomainError, EvaluationError
-from .identities import verify
+from .identities import cplx_json, verify
 from .lerch import LerchArgs, phi
 from .qmc import PASS_SIGMA, QmcOptions, sigma_gap
 from .quad1d import KernelTerm, reduced_eval
@@ -70,10 +71,6 @@ def parse_complex(text: str) -> complex:
     if m:
         return complex(float(m.group(1)), float(m.group(2)))
     raise DomainError(f"cannot parse complex literal {text!r} (use a, ai, a+bi or a-bi)")
-
-
-def _cplx_out(c: complex) -> dict:
-    return {"re": c.real, "im": c.imag}
 
 
 def _cplx_in(obj) -> complex:
@@ -152,7 +149,7 @@ def _cmd_phi(args: argparse.Namespace) -> tuple[dict, int]:
     result = phi(largs, tol, allow_quadrature=args.quadrature_fallback)
     return (
         {
-            "value": _cplx_out(result.value),
+            "value": cplx_json(result.value),
             "abs_err": result.abs_err,
             "method": result.method,
             "work": result.work,
@@ -217,9 +214,9 @@ def _cmd_constants(args: argparse.Namespace) -> tuple[dict, int]:
     return payload, 0 if ok else 1
 
 
-def _spec_from_json(doc: dict) -> IntegrandSpec:
+def _spec_from_json(doc) -> IntegrandSpec:
     try:
-        return IntegrandSpec(
+        fields = dict(
             m=int(doc["m"]),
             family=str(doc["family"]),
             exponents=tuple(_cplx_in(e) for e in doc["exponents"]),
@@ -228,6 +225,9 @@ def _spec_from_json(doc: dict) -> IntegrandSpec:
         )
     except KeyError as exc:
         raise DomainError(f"spec file missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed spec file: {exc}") from exc
+    return IntegrandSpec(**fields)
 
 
 def reduced_to_json_dict(reduced: ReducedIntegrand) -> dict:
@@ -235,10 +235,10 @@ def reduced_to_json_dict(reduced: ReducedIntegrand) -> dict:
         "prefactor": reduced.prefactor,
         "terms": [
             {
-                "coeff": _cplx_out(complex(t.coeff)),
-                "w": _cplx_out(complex(t.w)),
-                "p": _cplx_out(complex(t.p)),
-                "z": _cplx_out(complex(t.z)),
+                "coeff": cplx_json(complex(t.coeff)),
+                "w": cplx_json(complex(t.w)),
+                "p": cplx_json(complex(t.p)),
+                "z": cplx_json(complex(t.z)),
             }
             for t in reduced.terms
         ],
@@ -281,7 +281,7 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[dict, int]:
     payload = reduced_to_json_dict(reduced)
     if args.evaluate:
         result = reduced_eval(reduced, _check_tol(args.tol))
-        payload.update(value=_cplx_out(result.value), abs_err=result.abs_err, nodes=result.nodes)
+        payload.update(value=cplx_json(result.value), abs_err=result.abs_err, nodes=result.nodes)
     return payload, 0
 
 

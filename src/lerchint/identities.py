@@ -63,6 +63,11 @@ def _gaps(a: complex, b: complex) -> tuple[float, float]:
     return abs_gap, abs_gap / max(abs(a), abs(b), 1e-300)
 
 
+def cplx_json(c: complex) -> dict:
+    """The JSON form {"re": ..., "im": ...} of a complex number."""
+    return {"re": c.real, "im": c.imag}
+
+
 def _cancels(u: complex, v: complex) -> bool:
     """Whether the f-kernel difference quotient over u - v loses 3 or more digits."""
     return abs(u - v) < 1e-3
@@ -274,20 +279,17 @@ class VerificationReport:
     pass_: bool = field(default=False)
 
     def to_json_dict(self) -> dict:
-        def cplx(c: complex) -> dict:
-            return {"re": c.real, "im": c.imag}
-
         out = {
             "spec": {
                 "m": self.spec.m,
                 "family": self.spec.family,
-                "exponents": [cplx(e) for e in self.spec.exponents],
-                "z": cplx(self.spec.z),
-                "s": cplx(self.spec.s),
+                "exponents": [cplx_json(e) for e in self.spec.exponents],
+                "z": cplx_json(self.spec.z),
+                "s": cplx_json(self.spec.s),
             },
-            "rhs": cplx(self.rhs),
+            "rhs": cplx_json(self.rhs),
             "lhs_reduced": {
-                "value": cplx(self.lhs_reduced.value),
+                "value": cplx_json(self.lhs_reduced.value),
                 "abs_err": self.lhs_reduced.abs_err,
                 "nodes": self.lhs_reduced.nodes,
             },
@@ -298,7 +300,7 @@ class VerificationReport:
             "pass": self.pass_,
         }
         if self.lhs_qmc is not None:
-            out["lhs_qmc"] = {**asdict(self.lhs_qmc), "estimate": cplx(self.lhs_qmc.estimate)}
+            out["lhs_qmc"] = {**asdict(self.lhs_qmc), "estimate": cplx_json(self.lhs_qmc.estimate)}
             out["qmc_sigma_gap"] = self.qmc_sigma_gap
         else:
             out["lhs_qmc"] = None

@@ -1,4 +1,4 @@
-"""Evaluation of Phi(z,s,u) = sum_{n>=0} z^n / (u+n)^s and its recurrences.
+"""Evaluation of Phi(z,s,u) = sum_{n>=0} z^n / (u+n)^s.
 
 Dispatch keeps the algorithms independent of each other: the direct power
 series inside the unit disk, Euler-Maclaurin at z = 1, alternating-series
@@ -153,34 +153,3 @@ def phi(args: LerchArgs, tol: float = 1e-12, *, allow_quadrature: bool = False) 
         f"no convergent series algorithm for |z|={az:.6g} > 1; "
         "enable the quadrature fallback to evaluate there"
     )
-
-
-def phi_shift_u(args: LerchArgs, tol: float = 1e-12) -> EvalResult:
-    """Phi(z,s,u+1) through the shift recurrence (Phi(z,s,u) - u^(-s))/z."""
-    z, s, u = args.z, args.s, args.u
-    if abs(z) < 1e-12:
-        raise DomainError("shift recurrence divides by z; |z| too small")
-    base = phi(args, tol)
-    head = u ** (-s)
-    value = (base.value - head) / z
-    err = (base.abs_err + 2.0 * _EPS * (abs(base.value) + abs(head))) / abs(z)
-    return EvalResult(value, err, base.method, base.work)
-
-
-def phi_du_fd(args: LerchArgs, h: float = 1e-5, tol: float = 1e-12) -> complex:
-    """Central finite-difference estimate of the u-derivative of Phi.
-
-    Intended for testing the derivative recurrence
-    Phi(z,s+1,u) = -(1/s) dPhi/du(z,s,u); step h is restricted to
-    [1e-6, 1e-3] where the truncation and cancellation errors balance at
-    around 1e-6 relative.
-    """
-    if not 1e-6 <= h <= 1e-3:
-        raise DomainError(f"step h must lie in [1e-6, 1e-3], got {h}")
-    if args.u.real - h <= 0.0:
-        raise DomainError(f"need Re u - h > 0, got u={args.u}, h={h}")
-    up = LerchArgs(args.z, args.s, args.u + h)
-    um = LerchArgs(args.z, args.s, args.u - h)
-    fp = phi(up, tol)
-    fm = phi(um, tol)
-    return (fp.value - fm.value) / (2.0 * h)

@@ -1,4 +1,4 @@
-"""Ordered-simplex closed forms and reduction of cube integrals to 1-D kernels.
+"""Reduction of cube integrals to 1-D kernels through ordered-simplex integrals.
 
 The m-dimensional integrals treated here all have the shape
 
@@ -7,18 +7,11 @@ The m-dimensional integrals treated here all have the shape
 with N a product/sum of powers of the coordinates.  Substituting partial
 products t_k = x1 x2 ... x_k turns the inner (m-1)-fold integral into one
 over the ordered simplex 1 >= t_1 >= ... >= t_{m-1} >= t_m, where it has
-an elementary closed form:
+an elementary closed form in t = t_m.
 
-  * log_simplex_volume:        integrand 1/(t1...tk)        -> (-ln x)^k / k!
-  * power_sum_simplex:         integrand (sum t_i^a)/(t1..tk) ->
-                               (-ln x)^(k-1)/(k-1)! * (1-x^a)/a
-  * distinct_exponent_simplex: integrand prod t_i^(u_i-u_{i+1}-1) ->
-                               sum_i x^(u_i-u_{k+1}) / prod_{j!=i}(u_j-u_i)
-
-``reduce`` applies the matching closed form to each integrand family and
-returns the exact equivalent 1-D combination of kernels
-c * t^(w-1) (-ln t)^p / (1-z t); ``brute_simplex`` is the slow nested
-quadrature oracle the tests compare the closed forms against.
+``reduce`` writes that closed form for each integrand family and returns
+the exact equivalent 1-D combination of kernels
+c * t^(w-1) (-ln t)^p / (1-z t).
 """
 
 from __future__ import annotations
@@ -26,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DegeneracyError, DomainError
+from .errors import DegeneracyError, DomainError
 from .quad1d import KernelTerm, beyond_one, is_one
 
 FAMILY_DISTINCT = "distinct-exponents"
@@ -148,33 +141,6 @@ class ReducedIntegrand:
             raise DomainError(f"all kernel terms must share one z, got {sorted(zs, key=abs)}")
 
 
-def log_simplex_volume(k: int, x: float) -> float:
-    """Volume-with-weight of the ordered simplex above x: (-ln x)^k / k!."""
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if not 0.0 < x <= 1.0:
-        raise DomainError(f"x must lie in (0,1], got {x}")
-    return (-math.log(x)) ** k / _exact_factorial(k)
-
-
-def power_sum_simplex(k: int, alpha: complex, x: float) -> complex:
-    """Closed form (-ln x)^(k-1)/(k-1)! * (1 - x^alpha)/alpha.
-
-    alpha may be negative or complex but not ~0; the alpha -> 0 limit is a
-    different formula (k times log_simplex_volume) that callers must take
-    explicitly.
-    """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if not 0.0 < x <= 1.0:
-        raise DomainError(f"x must lie in (0,1], got {x}")
-    alpha = complex(alpha)
-    if abs(alpha) < 1e-12:
-        raise DomainError("alpha too small; use log_simplex_volume for the alpha=0 limit")
-    lead = (-math.log(x)) ** (k - 1) / _exact_factorial(k - 1)
-    return lead * (1.0 - x ** alpha) / alpha
-
-
 def _lagrange_denominator(us: tuple, i: int) -> complex:
     """prod_{j != i} (u_j - u_i), multiplied in index order."""
     denom = 1.0 + 0j
@@ -182,42 +148,6 @@ def _lagrange_denominator(us: tuple, i: int) -> complex:
         if j != i:
             denom *= uj - us[i]
     return denom
-
-
-def distinct_exponent_simplex(us, x: float) -> complex:
-    """sum_i x^(u_i - u_last) / prod_{j != i} (u_j - u_i) over k+1 exponents."""
-    us = tuple(complex(w) for w in us)
-    if len(us) < 2:
-        raise DomainError("need at least two exponents (k >= 1)")
-    if not 0.0 < x <= 1.0:
-        raise DomainError(f"x must lie in (0,1], got {x}")
-    _check_distinct(us)
-    last = us[-1]
-    total = 0j
-    for i, ui in enumerate(us):
-        total += x ** (ui - last) / _lagrange_denominator(us, i)
-    return total
-
-
-def lagrange_residual(us) -> float:
-    """Residual of the partial-fraction identity behind the distinct-exponent form.
-
-    For distinct u_1..u_{k+1},
-      sum_{i<=k} 1/((u_i-u_{k+1}) prod_{j<=k, j!=i}(u_j-u_i))
-    equals 1/prod_{j<=k}(u_j-u_{k+1}); the return value is the magnitude of
-    the difference, which should sit at rounding level for well-separated
-    inputs.
-    """
-    us = tuple(complex(w) for w in us)
-    if len(us) < 2:
-        raise DomainError("need at least two exponents (k >= 1)")
-    _check_distinct(us)
-    k = len(us) - 1
-    last = us[-1]
-    lhs = 0j
-    for i in range(k):
-        lhs += 1.0 / ((us[i] - last) * _lagrange_denominator(us[:k], i))
-    return abs(lhs - 1.0 / _lagrange_denominator(us, k))
 
 
 def reduce(spec: IntegrandSpec) -> ReducedIntegrand:
@@ -256,52 +186,3 @@ def reduce(spec: IntegrandSpec) -> ReducedIntegrand:
             KernelTerm(1.0 / _lagrange_denominator(us, i), ui, s, z) for i, ui in enumerate(us)
         )
     return ReducedIntegrand(terms=terms, prefactor=pref)
-
-
-_BRUTE_TOL = 1e-9
-
-
-def brute_simplex(k: int, g, x: float, tol: float = _BRUTE_TOL):
-    """Nested adaptive quadrature over 1 >= t_1 >= ... >= t_k >= x.
-
-    Test oracle only: cost grows exponentially in k, so k <= 3.  ``g``
-    receives the tuple (t_1, ..., t_k) and may return complex values; real
-    and imaginary parts are integrated separately.
-    """
-    if k not in (1, 2, 3):
-        raise DomainError("brute_simplex supports k in {1,2,3} only")
-    if not 0.0 < x <= 1.0:
-        raise DomainError(f"x must lie in (0,1], got {x}")
-
-    from scipy.integrate import quad as _scipy_quad  # test-only dependency
-
-    probe = complex(g(tuple([min(1.0, x + 0.5 * (1.0 - x))] * k)))
-    want_imag = abs(probe.imag) > 0.0
-
-    def nested(part) -> tuple[float, float]:
-        eps_in = tol / 20.0
-        if k == 1:
-            return _scipy_quad(lambda t1: part(g((t1,))), x, 1.0, epsabs=eps_in, epsrel=eps_in, limit=200)[:2]
-        if k == 2:
-            def inner(t1: float) -> float:
-                return _scipy_quad(lambda t2: part(g((t1, t2))), x, t1, epsabs=eps_in / 4, epsrel=eps_in / 4, limit=200)[0]
-
-            return _scipy_quad(inner, x, 1.0, epsabs=eps_in, epsrel=eps_in, limit=200)[:2]
-
-        def inner2(t1: float, t2: float) -> float:
-            return _scipy_quad(lambda t3: part(g((t1, t2, t3))), x, t2, epsabs=eps_in / 16, epsrel=eps_in / 16, limit=200)[0]
-
-        def inner1(t1: float) -> float:
-            return _scipy_quad(lambda t2: inner2(t1, t2), x, t1, epsabs=eps_in / 4, epsrel=eps_in / 4, limit=200)[0]
-
-        return _scipy_quad(inner1, x, 1.0, epsabs=eps_in, epsrel=eps_in, limit=200)[:2]
-
-    re_val, re_err = nested(lambda v: complex(v).real)
-    if re_err > 10.0 * tol:
-        raise ConvergenceError(f"brute_simplex error estimate {re_err:.2e} exceeds target {tol:.2e}")
-    if not want_imag:
-        return re_val
-    im_val, im_err = nested(lambda v: complex(v).imag)
-    if im_err > 10.0 * tol:
-        raise ConvergenceError(f"brute_simplex error estimate {im_err:.2e} exceeds target {tol:.2e}")
-    return complex(re_val, im_val)

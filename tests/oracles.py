@@ -1,0 +1,180 @@
+"""Test-only oracles: nested simplex quadrature, simplex closed forms, Phi recurrences.
+
+The library never calls these; the tests compare it against them.
+
+``brute_simplex`` integrates over the ordered simplex 1 >= t_1 >= ... >= t_k >= x
+by nested adaptive quadrature (scipy, a test-only dependency).  The closed
+forms it checks are
+
+  * log_simplex_volume:        integrand 1/(t1...tk)        -> (-ln x)^k / k!
+  * power_sum_simplex:         integrand (sum t_i^a)/(t1..tk) ->
+                               (-ln x)^(k-1)/(k-1)! * (1-x^a)/a
+  * distinct_exponent_simplex: integrand prod t_i^(u_i-u_{i+1}-1) ->
+                               sum_i x^(u_i-u_{k+1}) / prod_{j!=i}(u_j-u_i)
+
+The Lagrange product is transcribed here rather than imported from
+``lerchint.simplex``, so the oracles stay independent of the reduction they
+check.  ``phi_shift_u`` and ``phi_du_fd`` evaluate the shift and derivative
+recurrences of Phi from two or more plain ``phi`` calls.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+from lerchint import ConvergenceError, DegeneracyError, DomainError, EvalResult, LerchArgs, phi
+
+_EPS = sys.float_info.epsilon
+_SEPARATION = 1e-6
+_BRUTE_TOL = 1e-9
+
+
+def _check_separated(us: tuple) -> None:
+    for i in range(len(us)):
+        for j in range(i + 1, len(us)):
+            if abs(us[i] - us[j]) < _SEPARATION:
+                raise DegeneracyError(f"exponents {us[i]} and {us[j]} closer than {_SEPARATION}")
+
+
+def _check_x(x: float) -> None:
+    if not 0.0 < x <= 1.0:
+        raise DomainError(f"x must lie in (0,1], got {x}")
+
+
+def log_simplex_volume(k: int, x: float) -> float:
+    """Volume-with-weight of the ordered simplex above x: (-ln x)^k / k!."""
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    _check_x(x)
+    return (-math.log(x)) ** k / math.factorial(k)
+
+
+def power_sum_simplex(k: int, alpha: complex, x: float) -> complex:
+    """Closed form (-ln x)^(k-1)/(k-1)! * (1 - x^alpha)/alpha.
+
+    alpha may be negative or complex but not ~0; the alpha -> 0 limit is a
+    different formula (k times log_simplex_volume).
+    """
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    _check_x(x)
+    alpha = complex(alpha)
+    if abs(alpha) < 1e-12:
+        raise DomainError("alpha too small; use log_simplex_volume for the alpha=0 limit")
+    lead = (-math.log(x)) ** (k - 1) / math.factorial(k - 1)
+    return lead * (1.0 - x ** alpha) / alpha
+
+
+def _lagrange_product(us: tuple, i: int) -> complex:
+    """prod_{j != i} (u_j - u_i)."""
+    out = 1.0 + 0j
+    for j, uj in enumerate(us):
+        if j != i:
+            out *= uj - us[i]
+    return out
+
+
+def distinct_exponent_simplex(us, x: float) -> complex:
+    """sum_i x^(u_i - u_last) / prod_{j != i} (u_j - u_i) over k+1 exponents."""
+    us = tuple(complex(w) for w in us)
+    if len(us) < 2:
+        raise DomainError("need at least two exponents (k >= 1)")
+    _check_x(x)
+    _check_separated(us)
+    last = us[-1]
+    return sum(x ** (ui - last) / _lagrange_product(us, i) for i, ui in enumerate(us))
+
+
+def lagrange_residual(us) -> float:
+    """Residual of the partial-fraction identity behind the distinct-exponent form.
+
+    For distinct u_1..u_{k+1},
+      sum_{i<=k} 1/((u_i-u_{k+1}) prod_{j<=k, j!=i}(u_j-u_i))
+    equals 1/prod_{j<=k}(u_j-u_{k+1}); the return value is the magnitude of
+    the difference, which should sit at rounding level for well-separated
+    inputs.
+    """
+    us = tuple(complex(w) for w in us)
+    if len(us) < 2:
+        raise DomainError("need at least two exponents (k >= 1)")
+    _check_separated(us)
+    k = len(us) - 1
+    last = us[-1]
+    lhs = 0j
+    for i in range(k):
+        lhs += 1.0 / ((us[i] - last) * _lagrange_product(us[:k], i))
+    return abs(lhs - 1.0 / _lagrange_product(us, k))
+
+
+def brute_simplex(k: int, g, x: float, tol: float = _BRUTE_TOL):
+    """Nested adaptive quadrature over 1 >= t_1 >= ... >= t_k >= x.
+
+    Cost grows exponentially in k, so k <= 3.  ``g`` receives the tuple
+    (t_1, ..., t_k) and may return complex values; real and imaginary parts
+    are integrated separately.
+    """
+    if k not in (1, 2, 3):
+        raise DomainError("brute_simplex supports k in {1,2,3} only")
+    _check_x(x)
+
+    from scipy.integrate import quad as _scipy_quad
+
+    probe = complex(g(tuple([min(1.0, x + 0.5 * (1.0 - x))] * k)))
+    want_imag = abs(probe.imag) > 0.0
+
+    def nested(part) -> tuple[float, float]:
+        eps_in = tol / 20.0
+        if k == 1:
+            return _scipy_quad(lambda t1: part(g((t1,))), x, 1.0, epsabs=eps_in, epsrel=eps_in, limit=200)[:2]
+        if k == 2:
+            def inner(t1: float) -> float:
+                return _scipy_quad(lambda t2: part(g((t1, t2))), x, t1, epsabs=eps_in / 4, epsrel=eps_in / 4, limit=200)[0]
+
+            return _scipy_quad(inner, x, 1.0, epsabs=eps_in, epsrel=eps_in, limit=200)[:2]
+
+        def inner2(t1: float, t2: float) -> float:
+            return _scipy_quad(lambda t3: part(g((t1, t2, t3))), x, t2, epsabs=eps_in / 16, epsrel=eps_in / 16, limit=200)[0]
+
+        def inner1(t1: float) -> float:
+            return _scipy_quad(lambda t2: inner2(t1, t2), x, t1, epsabs=eps_in / 4, epsrel=eps_in / 4, limit=200)[0]
+
+        return _scipy_quad(inner1, x, 1.0, epsabs=eps_in, epsrel=eps_in, limit=200)[:2]
+
+    re_val, re_err = nested(lambda v: complex(v).real)
+    if re_err > 10.0 * tol:
+        raise ConvergenceError(f"brute_simplex error estimate {re_err:.2e} exceeds target {tol:.2e}")
+    if not want_imag:
+        return re_val
+    im_val, im_err = nested(lambda v: complex(v).imag)
+    if im_err > 10.0 * tol:
+        raise ConvergenceError(f"brute_simplex error estimate {im_err:.2e} exceeds target {tol:.2e}")
+    return complex(re_val, im_val)
+
+
+def phi_shift_u(args: LerchArgs, tol: float = 1e-12) -> EvalResult:
+    """Phi(z,s,u+1) through the shift recurrence (Phi(z,s,u) - u^(-s))/z."""
+    z, s, u = args.z, args.s, args.u
+    if abs(z) < 1e-12:
+        raise DomainError("shift recurrence divides by z; |z| too small")
+    base = phi(args, tol)
+    head = u ** (-s)
+    value = (base.value - head) / z
+    err = (base.abs_err + 2.0 * _EPS * (abs(base.value) + abs(head))) / abs(z)
+    return EvalResult(value, err, base.method, base.work)
+
+
+def phi_du_fd(args: LerchArgs, h: float = 1e-5, tol: float = 1e-12) -> complex:
+    """Central finite-difference estimate of the u-derivative of Phi.
+
+    Tests the derivative recurrence Phi(z,s+1,u) = -(1/s) dPhi/du(z,s,u);
+    step h is restricted to [1e-6, 1e-3] where the truncation and
+    cancellation errors balance at around 1e-6 relative.
+    """
+    if not 1e-6 <= h <= 1e-3:
+        raise DomainError(f"step h must lie in [1e-6, 1e-3], got {h}")
+    if args.u.real - h <= 0.0:
+        raise DomainError(f"need Re u - h > 0, got u={args.u}, h={h}")
+    fp = phi(LerchArgs(args.z, args.s, args.u + h), tol)
+    fm = phi(LerchArgs(args.z, args.s, args.u - h), tol)
+    return (fp.value - fm.value) / (2.0 * h)

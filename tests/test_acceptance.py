@@ -19,18 +19,12 @@ from lerchint import (
     IntegrandSpec,
     LerchArgs,
     QmcOptions,
-    brute_simplex,
     build_integrand,
-    distinct_exponent_simplex,
     euler_gamma_via_integral,
     gamma,
-    lagrange_residual,
     lerch_kernel_integral,
     ln4_over_pi_via_integral,
-    log_simplex_volume,
     phi,
-    phi_du_fd,
-    power_sum_simplex,
     qmc_estimate,
     rhs_theorem3_pair,
     rhs_theorem3_symmetric,
@@ -38,6 +32,14 @@ from lerchint import (
     rhs_theorem5,
     verify,
     verify_dimension_lift,
+)
+from oracles import (
+    brute_simplex,
+    distinct_exponent_simplex,
+    lagrange_residual,
+    log_simplex_volume,
+    phi_du_fd,
+    power_sum_simplex,
 )
 
 FAMILIES = ("symmetric", "f-kernel", "theorem4-kernel", "distinct-exponents")

@@ -207,11 +207,22 @@ class TestReduceCommand:
         again = reduced_eval(rebuilt, 1e-10)
         assert again.value.real == pytest.approx(doc["value"]["re"], abs=1e-12)
 
-    def test_schema_error_exit_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"m": 2, "family": "f-kernel"},
+            {"m": 3, "family": "symmetric", "exponents": 1.3, "z": 0.5, "s": 1},
+            [1, 2],
+            {"m": "x", "family": "symmetric", "exponents": [1.3], "z": 0.5, "s": 1},
+        ],
+        ids=["missing-field", "scalar-exponents", "top-level-array", "non-integer-m"],
+    )
+    def test_schema_error_exit_2(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"m": 2, "family": "f-kernel"}))
-        code, doc = run_json(capsys, ["reduce", "--spec", str(path)])
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, ["reduce", "--spec", str(path)])
         assert code == 2
+        assert out["error"]["type"] == "DomainError"
 
     def test_degenerate_exit_2(self, capsys):
         code, doc = run_json(

@@ -13,9 +13,8 @@ from lerchint import (
     alt_lerch,
     gamma,
     phi,
-    phi_du_fd,
-    phi_shift_u,
 )
+from oracles import phi_du_fd, phi_shift_u
 
 
 def geometric_over_shifted(z: float, n: int = 400) -> float:

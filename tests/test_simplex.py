@@ -2,6 +2,7 @@
 
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -13,12 +14,14 @@ from lerchint import (
     DegeneracyError,
     DomainError,
     IntegrandSpec,
+    reduce,
+)
+from oracles import (
     brute_simplex,
     distinct_exponent_simplex,
     lagrange_residual,
     log_simplex_volume,
     power_sum_simplex,
-    reduce,
 )
 
 
@@ -144,12 +147,23 @@ class TestBruteOracleAgreement:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy backs only the brute_simplex oracle; the runtime needs numpy alone
+    # scipy backs only the test oracle brute_simplex; the runtime needs numpy alone
     src = os.path.dirname(os.path.dirname(os.path.abspath(lerchint.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = "import sys, lerchint; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_runtime_source_never_mentions_test_only_libraries():
+    # a lazy import inside a function escapes the sys.modules check above
+    pkg = pathlib.Path(lerchint.__file__).parent
+    files = [p for p in pkg.rglob("*") if p.is_file() and "__pycache__" not in p.parts]
+    assert files
+    for path in files:
+        text = path.read_text(encoding="utf-8").lower()
+        for name in ("scipy", "mpmath"):
+            assert name not in text, f"{path.relative_to(pkg)} mentions {name}"
 
 
 class TestIntegrandSpecValidation:
@@ -282,3 +296,50 @@ class TestReduce:
             a = reduced_eval(reduce(pair), 1e-12).value
             b = (m - 1) * reduced_eval(reduce(sym), 1e-12).value
             assert abs(a - b) <= 1e-4 * abs(b), f"m={m}, z={z}"
+
+
+def _inner_numerator(family: str, exps: tuple, ts: tuple, x: float) -> float:
+    """The family numerator N in partial products t_1 >= ... >= t_{m-1} >= t_m = x."""
+    if family == "symmetric":
+        return x ** (exps[0] - 1.0)
+    if family == "f-kernel":
+        u, v = exps
+        return x ** (v - 1.0) * sum(t ** (u - v) for t in ts)
+    if family == "theorem4-kernel":
+        return x ** (exps[0] - 1.0) * sum(1.0 - t for t in ts)
+    # prod x_i^(u_i - 1) with x_i = t_i / t_{i-1}
+    out = x ** (exps[-1] - 1.0)
+    for i, t in enumerate(ts):
+        out *= t ** (exps[i] - exps[i + 1])
+    return out
+
+
+_REDUCE_EXPONENTS = {
+    "symmetric": (1.3,),
+    "f-kernel": (2.5, 1.2),
+    "theorem4-kernel": (1.3,),
+    "distinct-exponents": (1.0, 2.5, 1.7, 3.2),  # the first m of them
+}
+
+
+class TestReduceAgainstSimplexQuadrature:
+    """reduce()'s own terms against nested quadrature of the inner simplex integral.
+
+    With partial products t_k = x_1...x_k the cube integral becomes
+    integral_0^1 (-ln x)^s/(1 - z x) * J(x) dx, where J(x) is the integral of
+    N/(t_1...t_{m-1}) over 1 >= t_1 >= ... >= t_{m-1} >= x.  A reduction
+    with terms (c_i, w_i, p_i) claims J(x) = sum_i c_i x^(w_i-1) (-ln x)^(p_i-s).
+    """
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("family", list(_REDUCE_EXPONENTS))
+    def test_terms_match_inner_simplex_integral(self, family, m):
+        exps = _REDUCE_EXPONENTS[family]
+        if family == "distinct-exponents":
+            exps = exps[:m]
+        spec = IntegrandSpec(m=m, family=family, exponents=exps, z=0.5, s=0.7)
+        terms = reduce(spec).terms
+        for x in (0.2, 0.5, 0.8):
+            want = brute_simplex(m - 1, lambda ts: _inner_numerator(family, exps, ts, x) / math.prod(ts), x)
+            got = sum(t.coeff * x ** (t.w - 1.0) * (-math.log(x)) ** (t.p - spec.s) for t in terms)
+            assert abs(got - want) <= 1e-10 * abs(want), f"x={x}: {got} vs {want}"
