@@ -216,8 +216,8 @@ def _cmd_constants(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _spec_from_json(doc) -> IntegrandSpec:
     try:
+        m = doc["m"]
         fields = dict(
-            m=int(doc["m"]),
             family=str(doc["family"]),
             exponents=tuple(_cplx_in(e) for e in doc["exponents"]),
             z=_cplx_in(doc["z"]),
@@ -227,7 +227,9 @@ def _spec_from_json(doc) -> IntegrandSpec:
         raise DomainError(f"spec file missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DomainError(f"malformed spec file: {exc}") from exc
-    return IntegrandSpec(**fields)
+    if type(m) is not int:  # a JSON integer only: no float, string or bool
+        raise DomainError(f"malformed spec file: m must be an integer, got {m!r}")
+    return IntegrandSpec(m=m, **fields)
 
 
 def reduced_to_json_dict(reduced: ReducedIntegrand) -> dict:

@@ -3,18 +3,16 @@
 Million-term series at 1e-12 absolute targets leave no headroom for plain
 left-to-right float addition, so the series summers accumulate through this
 helper.  Real and imaginary parts are compensated independently.
+
+``extend`` is the one place the Neumaier step is written.  It runs over an
+iterable of terms on local variables, which is what makes a long series
+cheap in the interpreter; ``add`` is ``extend`` over one term, so any mix of
+the two gives exactly the sum that adding term by term gives.
 """
 
 from __future__ import annotations
 
-
-def _neumaier_step(s: float, c: float, x: float) -> tuple[float, float]:
-    t = s + x
-    if abs(s) >= abs(x):
-        c += (s - t) + x
-    else:
-        c += (x - t) + s
-    return t, c
+from collections.abc import Iterable
 
 
 class CompensatedSum:
@@ -30,9 +28,28 @@ class CompensatedSum:
         self._abs = 0.0  # plain sum of |term|, for rounding-error estimates
 
     def add(self, term: complex) -> None:
-        self._sr, self._cr = _neumaier_step(self._sr, self._cr, term.real)
-        self._si, self._ci = _neumaier_step(self._si, self._ci, term.imag)
-        self._abs += abs(term)
+        self.extend((term,))
+
+    def extend(self, terms: Iterable[complex]) -> None:
+        """Add each term in order, with the same rounding as one ``add`` per term."""
+        sr, si, cr, ci, total = self._sr, self._si, self._cr, self._ci, self._abs
+        for term in terms:
+            x = term.real
+            t = sr + x
+            if abs(sr) >= abs(x):
+                cr += (sr - t) + x
+            else:
+                cr += (x - t) + sr
+            sr = t
+            x = term.imag
+            t = si + x
+            if abs(si) >= abs(x):
+                ci += (si - t) + x
+            else:
+                ci += (x - t) + si
+            si = t
+            total += abs(term)
+        self._sr, self._si, self._cr, self._ci, self._abs = sr, si, cr, ci, total
 
     @property
     def value(self) -> complex:

@@ -11,10 +11,19 @@ Supported parameter region: Re u > 0 and either |z| <= 1 with z not in
 (1, infinity), requiring Re s > 1 on the unit circle away from z = -1 and
 Re s > 0 at z = -1.  For other z the series has no convergent algorithm
 here and phi raises unless the quadrature fallback is enabled.
+
+The direct series stops at the first term whose tail bound plus rounding
+allowance meets the tolerance.  Where the tail bound decreases, the terms
+before the first point it could meet the tolerance are summed through
+``CompensatedSum.extend`` without a stopping test, which gives the same
+numbers as testing each term.  A tolerance the series cannot reach raises
+ConvergenceError at once: when that first point lies beyond the term
+budget, or when the rounding allowance alone exceeds the tolerance.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +44,7 @@ _EPS = 2.220446049250313e-16
 _SERIES_BUDGET = 200_000
 _SERIES_BUDGET_NEAR_DISK_EDGE = 2_000_000
 _DISK_EDGE = 1.0 - 1e-14  # phi sums |z| at or above this as a unit-circle point
+_STOP_MARGIN = 8  # terms tested before the predicted stop, against rounding in the bound
 
 
 @dataclass(frozen=True)
@@ -67,43 +77,115 @@ def _series_tail_bound(z: complex, s: complex, u: complex):
     1 never divides by 1 - |z| ~ 1e-16.  |z|, the e^(pi |Im s|/2) factor
     and the branch are fixed per series, so they are settled here once.
     Infinity signals "cannot bound yet, keep summing".
+
+    Returns ``(bound, decreasing)``; ``decreasing`` is false only for the
+    Re s < 0 disk bound, which can grow before it falls.
     """
     az = abs(z)
     amp = math.exp(abs(s.imag) * 0.5 * math.pi)
     sr, ur = s.real, u.real
     if az >= _DISK_EDGE:  # |z| = 1, z != +-1: the integral test, for Re s > 1
         if sr <= 1.0:
-            return lambda n_last: math.inf
-        return lambda n_last: amp * (ur + n_last) ** (1.0 - sr) / (sr - 1.0)
+            return (lambda n_last: math.inf), True
+        return (lambda n_last: amp * (ur + n_last) ** (1.0 - sr) / (sr - 1.0)), True
     if sr >= 0.0:
-        return lambda n_last: amp * (az ** (n_last + 1) * (ur + (n_last + 1)) ** (-sr)) / (1.0 - az)
+        return (lambda n_last: amp * (az ** (n_last + 1) * (ur + (n_last + 1)) ** (-sr))
+                / (1.0 - az)), True
 
     def geometric_growing(n_last: int) -> float:
         n1 = n_last + 1
         rho = az * ((ur + n1 + 1.0) / (ur + n1)) ** (-sr)
         return math.inf if rho >= 1.0 else amp * (az ** n1 * abs(u + n1) ** (-sr)) / (1.0 - rho)
 
-    return geometric_growing
+    return geometric_growing, False
+
+
+def _first_below(tail_bound, target: float, limit: int) -> int:
+    """Smallest n >= 1 with tail_bound(n) <= target, for a decreasing bound.
+
+    Doubling, then bisection.  Returns limit + 1 when no n <= limit
+    qualifies; a NaN bound never qualifies.
+    """
+    if tail_bound(1) <= target:
+        return 1
+    lo, hi = 1, 2  # tail_bound(lo) > target throughout
+    while not tail_bound(hi) <= target:
+        if hi > limit:
+            return limit + 1
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tail_bound(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _series_terms(z: complex, u: complex, s: complex):
+    """Yield z^n (u+n)^(-s) for n = 0, 1, 2, ..., the power of z kept by multiplication."""
+    neg_s = -s
+    zp = 1.0 + 0j
+    n = 0
+    while True:
+        yield zp * (u + n) ** neg_s
+        zp *= z
+        n += 1
+
+
+def _floor_error(tol: float, floor: float, n_terms: int, args: LerchArgs) -> ConvergenceError:
+    return ConvergenceError(
+        f"direct series cannot reach tol={tol} for (z={args.z}, s={args.s}, u={args.u}): "
+        f"after {n_terms} terms its rounding floor 4*eps*sum|terms| is already {floor:.3g}, "
+        f"so the attainable tolerance is at least {floor:.3g}"
+    )
 
 
 def _direct_series(args: LerchArgs, tol: float, budget: int) -> EvalResult:
+    """Sum z^n (u+n)^(-s) for n = 0..N and stop at the first N that meets ``tol``.
+
+    N >= 1 meets ``tol`` when its tail bound plus the rounding allowance
+    4*eps*sum|terms| is at most ``tol``.  With a decreasing tail bound no N before the first one whose bound alone
+    meets ``tol`` minus the allowance can stop, so the terms before it (less
+    a margin of ``_STOP_MARGIN``) go through ``CompensatedSum.extend`` with
+    no test; the stop and every number are those of testing each term.  It
+    raises ConvergenceError at once when that first N lies beyond
+    ``budget``, and as soon as the allowance alone exceeds ``tol``: it
+    never shrinks, so no later N could stop.
+    """
     z, s, u = args.z, args.s, args.u
     if abs(z) == 0.0:
         value = u ** (-s)  # only the n=0 term survives
         return EvalResult(value, 2.0 * _EPS * abs(value), METHOD_DIRECT_SERIES, 1)
-    tail_bound = _series_tail_bound(z, s, u)
+    tail_bound, decreasing = _series_tail_bound(z, s, u)
     acc = CompensatedSum()
-    zp = 1.0 + 0j
-    n = 0
-    while n <= budget:
-        acc.add(zp * (u + n) ** (-s))
+    terms = _series_terms(z, u, s)
+    n = 0  # terms summed so far
+    while decreasing:
+        floor = 4.0 * _EPS * acc.abs_total
+        if floor > tol:
+            raise _floor_error(tol, floor, n, args)
+        first = _first_below(tail_bound, tol - floor, budget + _STOP_MARGIN)
+        if first - _STOP_MARGIN > budget:
+            raise ConvergenceError(
+                f"direct series needs more than its budget of {budget} terms to reach "
+                f"tol={tol} for (z={z}, s={s}, u={u}); the attainable tolerance within "
+                f"the budget is about {tail_bound(budget) + floor:.3g}"
+            )
+        skip = first - _STOP_MARGIN - n
+        if skip <= _STOP_MARGIN:  # too few to be worth another prediction
+            break
+        acc.extend(itertools.islice(terms, skip))
+        n += skip
+    for n in range(n, budget + 1):
+        acc.add(next(terms))
         if n >= 1:
             tail = tail_bound(n)
             rounding = 4.0 * _EPS * acc.abs_total
             if tail + rounding <= tol:
                 return EvalResult(acc.value, tail + rounding, METHOD_DIRECT_SERIES, n + 1)
-        zp *= z
-        n += 1
+            if rounding > tol:
+                raise _floor_error(tol, rounding, n + 1, args)
     raise ConvergenceError(
         f"direct series exhausted {budget} terms at tol={tol} for (z={z}, s={s}, u={u})"
     )

@@ -149,6 +149,8 @@ def hurwitz_zeta(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
     Bernoulli corrections B_2..B_30.  The truncation point N doubles until
     the first omitted correction term drops below tol/4, extending (not
     restarting) the partial sum; abs_err covers that omission and rounding.
+    Once the rounding allowance 4*eps*sum|terms| alone exceeds tol it
+    raises ConvergenceError naming that floor, since the sum only grows.
     """
     s = complex(s)
     u = complex(u)
@@ -160,12 +162,19 @@ def hurwitz_zeta(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
         raise DomainError(f"hurwitz_zeta needs Re u > 0, got u={u}")
 
     n_terms = max(16, int(1.2 * abs(s)) + 4)
+    neg_s = -s
     acc = CompensatedSum()
     summed = 0  # the partial sum runs on from here when N doubles
     while n_terms <= _MAX_HURWITZ_N:
-        for n in range(summed, n_terms):
-            acc.add((u + n) ** (-s))
+        acc.extend((u + n) ** neg_s for n in range(summed, n_terms))
         summed = n_terms
+        floor = 4.0 * _EPS * acc.abs_total
+        if floor > tol:  # abs_err is at least this, and the sum of |terms| only grows
+            raise ConvergenceError(
+                f"hurwitz_zeta cannot reach tol={tol} for (s={s}, u={u}): after {summed} "
+                f"terms its rounding floor 4*eps*sum|terms| is already {floor:.3g}, so the "
+                f"attainable tolerance is at least {floor:.3g}"
+            )
         base = u + n_terms
         base_pow = base ** (-s)
         tail = base * base_pow / (s - 1.0) + 0.5 * base_pow
@@ -195,7 +204,7 @@ def hurwitz_zeta(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
         abs_err = 2.0 * omitted + 4.0 * _EPS * (acc.abs_total + abs(tail))
         if abs_err <= tol:
             return EvalResult(value, abs_err, METHOD_EULER_MACLAURIN, n_terms + used + 1)
-        n_terms *= 2  # past the rounding floor this cannot succeed; the cap ends it
+        n_terms *= 2
 
     raise ConvergenceError(
         f"hurwitz_zeta did not reach tol={tol} within {_MAX_HURWITZ_N} terms "
@@ -211,13 +220,18 @@ def _cvz_sum(s: complex, u: complex, n: int) -> complex:
     """Chebyshev-accelerated alternating sum of (-1)^k (u+k)^(-s), n terms."""
     d = math.exp(n * _CVZ_RATE)
     d = 0.5 * (d + 1.0 / d)
-    b = -1.0
-    c = -d
+    neg_s = -s
+
+    def terms():
+        b = -1.0
+        c = -d
+        for k in range(n):
+            c = b - c
+            yield c * (u + k) ** neg_s
+            b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
+
     acc = CompensatedSum()
-    for k in range(n):
-        c = b - c
-        acc.add(c * (u + k) ** (-s))
-        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
+    acc.extend(terms())
     return acc.value / d
 
 

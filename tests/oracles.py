@@ -16,6 +16,11 @@ The Lagrange product is transcribed here rather than imported from
 ``lerchint.simplex``, so the oracles stay independent of the reduction they
 check.  ``phi_shift_u`` and ``phi_du_fd`` evaluate the shift and derivative
 recurrences of Phi from two or more plain ``phi`` calls.
+
+``PerTermSum`` and ``direct_series_per_term`` are the compensated sum and
+the direct Phi series written term by term: one Neumaier step per call and
+the stopping test after every term.  The library's batched loops must give
+their numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import math
 import sys
 
 from lerchint import ConvergenceError, DegeneracyError, DomainError, EvalResult, LerchArgs, phi
+from lerchint.lerch import _series_tail_bound
+from lerchint.special import METHOD_DIRECT_SERIES
 
 _EPS = sys.float_info.epsilon
 _SEPARATION = 1e-6
@@ -178,3 +185,50 @@ def phi_du_fd(args: LerchArgs, h: float = 1e-5, tol: float = 1e-12) -> complex:
     fp = phi(LerchArgs(args.z, args.s, args.u + h), tol)
     fm = phi(LerchArgs(args.z, args.s, args.u - h), tol)
     return (fp.value - fm.value) / (2.0 * h)
+
+
+def _neumaier_step(s: float, c: float, x: float) -> tuple[float, float]:
+    t = s + x
+    if abs(s) >= abs(x):
+        c += (s - t) + x
+    else:
+        c += (x - t) + s
+    return t, c
+
+
+class PerTermSum:
+    """Compensated complex sum, one Neumaier step per real part per ``add``."""
+
+    def __init__(self) -> None:
+        self.sr = self.si = self.cr = self.ci = self.abs_total = 0.0
+
+    def add(self, term: complex) -> None:
+        self.sr, self.cr = _neumaier_step(self.sr, self.cr, term.real)
+        self.si, self.ci = _neumaier_step(self.si, self.ci, term.imag)
+        self.abs_total += abs(term)
+
+    @property
+    def value(self) -> complex:
+        return complex(self.sr + self.cr, self.si + self.ci)
+
+
+def direct_series_per_term(args: LerchArgs, tol: float, budget: int) -> EvalResult:
+    """Phi's direct series with the stopping test after every term from n = 1."""
+    z, s, u = args.z, args.s, args.u
+    if abs(z) == 0.0:
+        value = u ** (-s)
+        return EvalResult(value, 2.0 * _EPS * abs(value), METHOD_DIRECT_SERIES, 1)
+    tail_bound = _series_tail_bound(z, s, u)[0]
+    acc = PerTermSum()
+    zp = 1.0 + 0j
+    n = 0
+    while n <= budget:
+        acc.add(zp * (u + n) ** (-s))
+        if n >= 1:
+            tail = tail_bound(n)
+            rounding = 4.0 * _EPS * acc.abs_total
+            if tail + rounding <= tol:
+                return EvalResult(acc.value, tail + rounding, METHOD_DIRECT_SERIES, n + 1)
+        zp *= z
+        n += 1
+    raise ConvergenceError(f"direct series exhausted {budget} terms at tol={tol}")

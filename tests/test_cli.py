@@ -214,8 +214,11 @@ class TestReduceCommand:
             {"m": 3, "family": "symmetric", "exponents": 1.3, "z": 0.5, "s": 1},
             [1, 2],
             {"m": "x", "family": "symmetric", "exponents": [1.3], "z": 0.5, "s": 1},
+            {"m": 2.7, "family": "symmetric", "exponents": [1.3], "z": 0.5, "s": 1},
+            {"m": True, "family": "symmetric", "exponents": [1.3], "z": 0.5, "s": 1},
         ],
-        ids=["missing-field", "scalar-exponents", "top-level-array", "non-integer-m"],
+        ids=["missing-field", "scalar-exponents", "top-level-array", "non-integer-m",
+             "fractional-m", "bool-m"],
     )
     def test_schema_error_exit_2(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"

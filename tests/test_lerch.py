@@ -1,5 +1,6 @@
 """Dispatch, recurrences and error reporting of the Phi evaluator."""
 
+import cmath
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from lerchint import (
     gamma,
     phi,
 )
-from oracles import phi_du_fd, phi_shift_u
+from lerchint.lerch import _direct_series
+from oracles import direct_series_per_term, phi_du_fd, phi_shift_u
 
 
 def geometric_over_shifted(z: float, n: int = 400) -> float:
@@ -198,3 +200,62 @@ def test_error_honesty_against_brute_series():
         r = phi(LerchArgs(z, s, u), tol=1e-12)
         brute = sum(z ** k * (u + k) ** (-s) for k in range(3000))
         assert abs(r.value - brute) <= 2.0 * r.abs_err + 1e-13
+
+
+def _sweep_points(seed: int = 29) -> list:
+    """Disk (Re s of both signs), band and unit-circle points with tol 1e-6..1e-13."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for region in ("disk", "disk-neg-s", "band", "circle") * 10:
+        theta = rng.uniform(-math.pi, math.pi)
+        if region == "circle":
+            r, sr = 1.0, rng.uniform(3.0, 5.0)
+        elif region == "band":
+            r, sr = rng.uniform(0.9, 0.998), rng.uniform(0.0, 3.0)
+        else:
+            r = rng.uniform(0.05, 0.9)
+            sr = rng.uniform(-2.0, 0.0) if region == "disk-neg-s" else rng.uniform(0.0, 4.0)
+        z = r * complex(math.cos(theta), math.sin(theta))
+        s = complex(sr, rng.uniform(-1.5, 1.5))
+        u = complex(rng.uniform(0.2, 2.5), rng.uniform(-0.5, 0.5))
+        tol = 10.0 ** -rng.uniform(6.0, 13.0)
+        if region == "circle":
+            tol = max(tol, 1e-10)  # the circle's n^(1 - Re s) bound needs ~1e5 terms here
+        points.append((region, z, s, u, tol, 200_000 if r <= 0.9 else 2_000_000))
+    # |z| of exp(0.3i) rounds to 1.0, of exp(0.36i) just below it: both take the circle's bound
+    points.append(("circle", cmath.exp(0.36j), 3.0 + 0j, 0.7 + 0j, 1e-10, 2_000_000))
+    # tol below, just above and above the rounding floor 4*eps*sum|terms|, which is
+    # about 3.66e-13 for (exp(0.3i), 5, 0.3) and 3.34e-14 for (0.95, 3, 0.3); the
+    # per-term loop spends its whole budget below the floor, so the budget is small
+    for z in (cmath.exp(0.3j), cmath.exp(0.36j)):
+        points += [("circle", z, 5.0 + 0j, 0.3 + 0j, tol, 20_000) for tol in (3.6e-13, 3.7e-13, 4e-13)]
+    points += [("band", 0.95 + 0j, 3.0 + 0j, 0.3 + 0j, tol, 20_000) for tol in (3.3e-14, 3.4e-14, 4e-14)]
+    points.append(("disk-neg-s", 0.5 + 0j, -3.0 + 0j, 2.0 + 0j, 1e-14, 20_000))
+    return points
+
+
+@pytest.mark.parametrize("region,z,s,u,tol,budget", _sweep_points())
+def test_direct_series_is_bit_identical_to_per_term_loop(region, z, s, u, tol, budget):
+    args = LerchArgs(z, s, u)
+    try:
+        ref = direct_series_per_term(args, tol, budget)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            _direct_series(args, tol, budget)
+        return
+    got = _direct_series(args, tol, budget)
+    assert (got.value, got.abs_err, got.work) == (ref.value, ref.abs_err, ref.work)
+    # the stop is the last term a budget allows: one term less and both raise
+    edge = _direct_series(args, tol, ref.work - 1)
+    assert (edge.value, edge.abs_err, edge.work) == (ref.value, ref.abs_err, ref.work)
+    with pytest.raises(ConvergenceError):
+        _direct_series(args, tol, ref.work - 2)
+
+
+@pytest.mark.parametrize("args,fragment", [
+    (LerchArgs(0.5, 60.0, 0.01), "attainable tolerance is at least 8.88e+104"),
+    (LerchArgs(cmath.exp(1j), 2.5, 1.3), "attainable tolerance within the budget is about 2.36e-10"),
+])
+def test_unreachable_tolerance_names_the_attainable_one(args, fragment):
+    with pytest.raises(ConvergenceError, match=fragment.replace("+", r"\+")):
+        phi(args, 1e-10)

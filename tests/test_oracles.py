@@ -67,6 +67,33 @@ def test_phi_near_circle_modulus_below_one():
     assert abs(ours.value - mp_lerch(z, s, u)) <= ours.abs_err
 
 
+BAND_AND_CIRCLE = [
+    # 0.9 < |z| < 1
+    (0.95, 2.0, 0.7, 1e-12),
+    (0.93j, 1.5 + 0.5j, 1.3, 1e-12),
+    (0.99 * cmath.exp(2.5j), 0.5, 0.4, 1e-11),
+    (-0.97 + 0.1j, 3.0, 2.0 - 0.3j, 1e-13),
+    (0.999 * cmath.exp(1j), 2.2, 1.1, 1e-10),
+    (0.9 + 0.3j, 1j, 1.0, 1e-10),
+    # |z| rounds to 1.0
+    (cmath.exp(0.3j), 3.0, 0.7, 1e-10),
+    (cmath.exp(2.0j), 3.5 + 0.5j, 1.2, 1e-9),
+    (cmath.exp(-1.3j), 4.0, 0.4, 1e-12),
+    (cmath.exp(2.9j), 3.5 - 1j, 0.8 + 0.2j, 1e-11),
+    (1j, 4.0, 1.0, 1e-11),
+    # |z| rounds just below 1.0
+    (cmath.exp(0.36j), 3.5, 1.0, 1e-10),
+    (cmath.exp(-0.36j), 4.0 + 0.5j, 0.6, 1e-11),
+]
+
+
+@pytest.mark.parametrize("z,s,u,tol", BAND_AND_CIRCLE)
+def test_band_and_circle_error_is_honest_against_mpmath(z, s, u, tol):
+    ours = phi(LerchArgs(z, s, u), tol=tol)
+    assert ours.abs_err <= tol
+    assert abs(ours.value - mp_lerch(z, s, u)) <= ours.abs_err
+
+
 def test_hurwitz_matches_mpmath():
     for s, u in [(2.0, 1.0), (3.7, 0.3), (1.2, 2.5), (2.0 + 2.0j, 1.0 - 0.4j)]:
         ours = hurwitz_zeta(s, u, tol=1e-13)

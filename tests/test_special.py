@@ -125,7 +125,7 @@ class TestHurwitzZeta:
 
     def test_unreachable_tolerance_raises(self):
         # below the double-precision rounding floor of the summation
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="attainable tolerance is at least 2.43e-15"):
             hurwitz_zeta(1.2, 1.0, tol=1e-17)
 
     def test_reported_error_meets_requested_tolerance(self):
