@@ -25,10 +25,11 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 
 from .constants import euler_gamma_via_integral, ln4_over_pi_via_integral
 from .errors import ConvergenceError, DomainError, EvaluationError
-from .identities import cplx_json, verify
+from .identities import jsonable, verify
 from .lerch import LerchArgs, phi
 from .qmc import PASS_SIGMA, QmcOptions, sigma_gap
 from .quad1d import KernelTerm, reduced_eval
@@ -37,6 +38,7 @@ from .simplex import (
     FAMILY_F_KERNEL,
     FAMILY_SYMMETRIC,
     FAMILY_THEOREM4,
+    FAMILIES,
     IntegrandSpec,
     ReducedIntegrand,
     reduce,
@@ -147,15 +149,7 @@ def _cmd_phi(args: argparse.Namespace) -> tuple[dict, int]:
     tol = _check_tol(args.tol)
     largs = LerchArgs(parse_complex(args.z), parse_complex(args.s), parse_complex(args.u))
     result = phi(largs, tol, allow_quadrature=args.quadrature_fallback)
-    return (
-        {
-            "value": cplx_json(result.value),
-            "abs_err": result.abs_err,
-            "method": result.method,
-            "work": result.work,
-        },
-        0,
-    )
+    return jsonable(asdict(result)), 0
 
 
 def _add_exponent_flags(parser: argparse.ArgumentParser) -> None:
@@ -171,30 +165,28 @@ def _indexed_exponents(args: argparse.Namespace) -> list:
     return [parse_complex(val) for val in vals if val is not None]
 
 
-def _spec_from_flags(args: argparse.Namespace) -> IntegrandSpec:
-    family = _THEOREM_TO_FAMILY[args.theorem]
-    z = parse_complex(args.z)
-    s = parse_complex(args.s)
-    if family == FAMILY_DISTINCT:
-        exps = _indexed_exponents(args)
-        if args.u is not None and not exps:
-            exps = [parse_complex(args.u)]
-        if not exps:
-            raise DomainError("t5 needs exponents --u1 ... --uM")
-    elif family == FAMILY_F_KERNEL:
-        if args.u is None or args.v is None:
-            raise DomainError("t3-pair needs --u and --v")
-        exps = [parse_complex(args.u), parse_complex(args.v)]
-    else:
-        if args.u is None:
-            raise DomainError(f"{args.theorem} needs --u")
-        exps = [parse_complex(args.u)]
-    return IntegrandSpec(m=args.m, family=family, exponents=tuple(exps), z=z, s=s)
+def _spec_from_flags(args: argparse.Namespace, family: str) -> IntegrandSpec:
+    """The spec of the exponent flags, in the order --u, --u1 ... --u20, --v.
+
+    Every exponent given is passed on, so ``IntegrandSpec`` rejects a count
+    that does not fit the family instead of one being dropped here.
+    """
+    exps = [] if args.u is None else [parse_complex(args.u)]
+    exps += _indexed_exponents(args)
+    if args.v is not None:
+        exps.append(parse_complex(args.v))
+    return IntegrandSpec(
+        m=args.m,
+        family=family,
+        exponents=tuple(exps),
+        z=parse_complex(args.z),
+        s=parse_complex(args.s),
+    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     tol = _check_tol(args.tol)
-    spec = _spec_from_flags(args)
+    spec = _spec_from_flags(args, _THEOREM_TO_FAMILY[args.theorem])
     report = verify(spec, tol=tol, qmc=_qmc_options(args) if args.qmc else None)
     return report.to_json_dict(), 0 if report.pass_ else 1
 
@@ -233,18 +225,10 @@ def _spec_from_json(doc) -> IntegrandSpec:
 
 
 def reduced_to_json_dict(reduced: ReducedIntegrand) -> dict:
-    return {
-        "prefactor": reduced.prefactor,
-        "terms": [
-            {
-                "coeff": cplx_json(complex(t.coeff)),
-                "w": cplx_json(complex(t.w)),
-                "p": cplx_json(complex(t.p)),
-                "z": cplx_json(complex(t.z)),
-            }
-            for t in reduced.terms
-        ],
-    }
+    """The reduction as JSON; every term field is complex, even where it is held real."""
+    doc = asdict(reduced)
+    doc["terms"] = [{key: complex(value) for key, value in t.items()} for t in doc["terms"]]
+    return jsonable(doc)
 
 
 def reduced_from_json_dict(doc: dict) -> ReducedIntegrand:
@@ -267,23 +251,11 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         if args.family is None:
             raise DomainError("reduce needs --spec FILE or inline --family flags")
-        exps = _indexed_exponents(args)
-        if args.u is not None:
-            exps.insert(0, parse_complex(args.u))
-        if args.v is not None:
-            exps.append(parse_complex(args.v))
-        spec = IntegrandSpec(
-            m=args.m,
-            family=args.family,
-            exponents=tuple(exps),
-            z=parse_complex(args.z),
-            s=parse_complex(args.s),
-        )
+        spec = _spec_from_flags(args, args.family)
     reduced = reduce(spec)
     payload = reduced_to_json_dict(reduced)
     if args.evaluate:
-        result = reduced_eval(reduced, _check_tol(args.tol))
-        payload.update(value=cplx_json(result.value), abs_err=result.abs_err, nodes=result.nodes)
+        payload.update(jsonable(asdict(reduced_eval(reduced, _check_tol(args.tol)))))
     return payload, 0
 
 
@@ -321,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_red = sub.add_parser("reduce", help="show the 1-D reduction of a spec")
     p_red.add_argument("--spec", help="path to a JSON IntegrandSpec")
-    p_red.add_argument("--family", choices=(FAMILY_DISTINCT, FAMILY_SYMMETRIC, FAMILY_F_KERNEL, FAMILY_THEOREM4))
+    p_red.add_argument("--family", choices=FAMILIES)
     p_red.add_argument("--m", type=int, default=2)
     p_red.add_argument("--z", default="0")
     p_red.add_argument("--s", default="1")

@@ -8,11 +8,19 @@ helper.  Real and imaginary parts are compensated independently.
 iterable of terms on local variables, which is what makes a long series
 cheap in the interpreter; ``add`` is ``extend`` over one term, so any mix of
 the two gives exactly the sum that adding term by term gives.
+
+The sum also holds the rounding floor its callers report, ``floor`` =
+4 eps (sum|terms| + extra), and ``check_floor`` raises the one "cannot
+reach tol" error once that floor exceeds the tolerance.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+
+from .errors import ConvergenceError
+
+EPS = 2.220446049250313e-16  # double-precision machine epsilon, 2^-52
 
 
 class CompensatedSum:
@@ -59,3 +67,28 @@ class CompensatedSum:
     def abs_total(self) -> float:
         """Sum of term magnitudes; scales the residual rounding error."""
         return self._abs
+
+    def floor(self, extra: float = 0.0) -> float:
+        """4 eps (sum|terms| + extra): the rounding allowance of a result built on this sum.
+
+        ``extra`` is the magnitude of what is added to the sum outside it,
+        such as an Euler-Maclaurin tail.
+        """
+        return 4.0 * EPS * (self._abs + extra)
+
+    def check_floor(
+        self, tol: float, n_terms: int, what: Callable[[], str], extra: float = 0.0
+    ) -> float:
+        """``floor(extra)``, or ConvergenceError naming it when it exceeds ``tol``.
+
+        Callers pass an ``extra`` that no later term can lower, so a floor
+        above ``tol`` means the tolerance is out of reach for good.
+        ``what()`` names the series in the message; it is only called then.
+        """
+        floor = self.floor(extra)
+        if floor > tol:
+            raise ConvergenceError(
+                f"{what()} cannot reach tol={tol}: after {n_terms} terms its rounding floor "
+                f"is already {floor:.3g}, so the attainable tolerance is at least {floor:.3g}"
+            )
+        return floor

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 from . import qmc as qmc_mod
 from .errors import DomainError
-from .identities import build_integrand
+from .identities import build_integrand, jsonable
 from .qmc import QmcOptions
 from .quad1d import reduced_eval
 from .quad1d import tanh_sinh  # noqa: F401  (bench/spans.py wraps this attribute)
@@ -56,7 +56,7 @@ class ConstantResult:
     reference: float
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return jsonable(asdict(self))
 
 
 def _check_m(m: int) -> None:

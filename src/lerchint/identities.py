@@ -49,7 +49,6 @@ from .simplex import (
 from .special import gamma
 
 _DEFAULT_PHI_TOL = 1e-13
-_HURWITZ_MARGIN = 1.05  # smallest Re of a Phi first argument allowed at z=1
 
 
 def _quad_tol(tol: float) -> float:
@@ -63,9 +62,19 @@ def _gaps(a: complex, b: complex) -> tuple[float, float]:
     return abs_gap, abs_gap / max(abs(a), abs(b), 1e-300)
 
 
-def cplx_json(c: complex) -> dict:
-    """The JSON form {"re": ..., "im": ...} of a complex number."""
-    return {"re": c.real, "im": c.imag}
+def jsonable(obj):
+    """``obj`` (as from ``dataclasses.asdict``) with every complex as {"re": ..., "im": ...}.
+
+    Dicts keep their keys and tuples become lists, so ``json.dumps`` can
+    write any result this library returns.
+    """
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, dict):
+        return {key: jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(item) for item in obj]
+    return obj
 
 
 def _cancels(u: complex, v: complex) -> bool:
@@ -78,17 +87,14 @@ class ClosedForm:
     """Sum of coeff * gamma(gamma_arg) * Phi(phi_args) plus an optional power.
 
     The power term contributes coeff * base^exponent; it carries the
-    u^(-s-m+1) piece of the theorem4-kernel closed form.  At z = 1 every
-    Phi first argument must have real part above ``_HURWITZ_MARGIN``.
+    u^(-s-m+1) piece of the theorem4-kernel closed form.  Each Phi's domain
+    is decided by ``LerchArgs`` and by ``phi`` itself.
     """
 
     terms: tuple  # of (coeff, gamma_arg, LerchArgs)
     power_term: tuple | None = None  # (coeff, base, exponent)
 
     def value(self, tol: float = _DEFAULT_PHI_TOL) -> complex:
-        for _, _, args in self.terms:
-            if is_one(args.z) and args.s.real <= _HURWITZ_MARGIN:
-                raise DomainError(f"z=1 needs Re s > {_HURWITZ_MARGIN} in every Phi, got s={args.s}")
         total = 0j
         for coeff, gamma_arg, args in self.terms:
             total += coeff * gamma(gamma_arg) * phi(args, tol).value
@@ -140,8 +146,9 @@ def rhs_theorem4(
 ) -> complex:
     """gamma(s+m)/(m-2)! * [Phi(z,s+m,u) + ((1-z)Phi(z,s+m-1,u) - u^(1-s-m))/(z(s+m-1))].
 
-    The z -> 0 and s+m-1 -> 0 limits exist but are not encoded; both
-    arguments are rejected near those points.
+    At z = 1 the (1-z) term is zero and is left out, so Phi(1,s+m-1,u) is
+    never asked for.  The z -> 0 and s+m-1 -> 0 limits exist but are not
+    encoded; both arguments are rejected near those points.
     """
     if m < 2:
         raise DomainError("need m > 1")
@@ -152,14 +159,11 @@ def rhs_theorem4(
         raise DomainError("closed form divides by s+m-1; too close to 0")
     pref = 1.0 / math.factorial(m - 2)
     denom = z * (s + m - 1)
+    terms = ((pref, s + m, LerchArgs(z, s + m, u)),)
+    if not is_one(z):
+        terms += ((pref * (1.0 - z) / denom, s + m, LerchArgs(z, s + m - 1, u)),)
     # gamma(s+m) multiplies the whole bracket, including the pure power term
-    cf = ClosedForm(
-        terms=(
-            (pref, s + m, LerchArgs(z, s + m, u)),
-            (pref * (1.0 - z) / denom, s + m, LerchArgs(z, s + m - 1, u)),
-        ),
-        power_term=(-pref * gamma(s + m) / denom, u, -(s + m - 1)),
-    )
+    cf = ClosedForm(terms=terms, power_term=(-pref * gamma(s + m) / denom, u, -(s + m - 1)))
     return cf.value(tol)
 
 
@@ -279,34 +283,16 @@ class VerificationReport:
     pass_: bool = field(default=False)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "spec": {
-                "m": self.spec.m,
-                "family": self.spec.family,
-                "exponents": [cplx_json(e) for e in self.spec.exponents],
-                "z": cplx_json(self.spec.z),
-                "s": cplx_json(self.spec.s),
-            },
-            "rhs": cplx_json(self.rhs),
-            "lhs_reduced": {
-                "value": cplx_json(self.lhs_reduced.value),
-                "abs_err": self.lhs_reduced.abs_err,
-                "nodes": self.lhs_reduced.nodes,
-            },
-            "abs_gap_reduced": self.abs_gap_reduced,
-            "rel_gap_reduced": self.rel_gap_reduced,
-            "tol": self.tol,
-            "cancellation_flagged": self.cancellation_flagged,
-            "pass": self.pass_,
-        }
-        if self.lhs_qmc is not None:
-            out["lhs_qmc"] = {**asdict(self.lhs_qmc), "estimate": cplx_json(self.lhs_qmc.estimate)}
-            out["qmc_sigma_gap"] = self.qmc_sigma_gap
-        else:
-            out["lhs_qmc"] = None
-            out["qmc_skip_reason"] = self.qmc_skip_reason
-        if self.error is not None:
-            out["error"] = self.error
+        """Every field as JSON, with ``pass_`` written as "pass".
+
+        "qmc_sigma_gap" appears only when QMC ran, "qmc_skip_reason" only
+        when it did not, and "error" only when it is set.
+        """
+        out = jsonable(asdict(self))
+        out["pass"] = out.pop("pass_")
+        del out["qmc_sigma_gap" if self.lhs_qmc is None else "qmc_skip_reason"]
+        if self.error is None:
+            del out["error"]
         return out
 
 

@@ -1,7 +1,7 @@
 """Evaluation of Phi(z,s,u) = sum_{n>=0} z^n / (u+n)^s.
 
 Dispatch keeps the algorithms independent of each other: the direct power
-series inside the unit disk, Euler-Maclaurin at z = 1, alternating-series
+series on the closed unit disk, Euler-Maclaurin at z = 1, alternating-series
 acceleration at z = -1.  A 1-D quadrature route exists as an explicitly
 enabled fallback and is tagged as such, so identity verification can
 always tell when a value came from the same quadrature it is being
@@ -12,7 +12,8 @@ Supported parameter region: Re u > 0 and either |z| <= 1 with z not in
 Re s > 0 at z = -1.  For other z the series has no convergent algorithm
 here and phi raises unless the quadrature fallback is enabled.
 
-The direct series stops at the first term whose tail bound plus rounding
+The direct series has one term budget, ``_SERIES_BUDGET``, wherever it
+runs.  It stops at the first term whose tail bound plus rounding
 allowance meets the tolerance.  Where the tail bound decreases, the terms
 before the first point it could meet the tolerance are summed through
 ``CompensatedSum.extend`` without a stopping test, which gives the same
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from . import quad1d
-from .compsum import CompensatedSum
+from .compsum import EPS, CompensatedSum
 from .errors import ConvergenceError, DomainError
 from .quad1d import beyond_one, is_one
 from .special import (
@@ -40,9 +41,7 @@ from .special import (
     hurwitz_zeta,
 )
 
-_EPS = 2.220446049250313e-16
-_SERIES_BUDGET = 200_000
-_SERIES_BUDGET_NEAR_DISK_EDGE = 2_000_000
+_SERIES_BUDGET = 2_000_000
 _DISK_EDGE = 1.0 - 1e-14  # phi sums |z| at or above this as a unit-circle point
 _STOP_MARGIN = 8  # terms tested before the predicted stop, against rounding in the bound
 
@@ -72,11 +71,12 @@ def _series_tail_bound(z: complex, s: complex, u: complex):
 
     Geometric bound for |z| < 1 (with the (u+n)^(-s) factor bounded through
     Re u + n for Re s >= 0, through |u+n| with a ratio correction for
-    Re s < 0) and an integral-comparison bound on the unit circle.  The
-    split is phi's disk edge, so a circle point whose modulus rounds below
-    1 never divides by 1 - |z| ~ 1e-16.  |z|, the e^(pi |Im s|/2) factor
-    and the branch are fixed per series, so they are settled here once.
-    Infinity signals "cannot bound yet, keep summing".
+    Re s < 0) and an integral-comparison bound on the unit circle, where
+    phi admits only Re s > 1.  The split is phi's disk edge, so a circle
+    point whose modulus rounds below 1 never divides by 1 - |z| ~ 1e-16.
+    |z|, the e^(pi |Im s|/2) factor and the branch are fixed per series, so
+    they are settled here once.  Infinity signals "cannot bound yet, keep
+    summing".
 
     Returns ``(bound, decreasing)``; ``decreasing`` is false only for the
     Re s < 0 disk bound, which can grow before it falls.
@@ -85,8 +85,6 @@ def _series_tail_bound(z: complex, s: complex, u: complex):
     amp = math.exp(abs(s.imag) * 0.5 * math.pi)
     sr, ur = s.real, u.real
     if az >= _DISK_EDGE:  # |z| = 1, z != +-1: the integral test, for Re s > 1
-        if sr <= 1.0:
-            return (lambda n_last: math.inf), True
         return (lambda n_last: amp * (ur + n_last) ** (1.0 - sr) / (sr - 1.0)), True
     if sr >= 0.0:
         return (lambda n_last: amp * (az ** (n_last + 1) * (ur + (n_last + 1)) ** (-sr))
@@ -133,38 +131,30 @@ def _series_terms(z: complex, u: complex, s: complex):
         n += 1
 
 
-def _floor_error(tol: float, floor: float, n_terms: int, args: LerchArgs) -> ConvergenceError:
-    return ConvergenceError(
-        f"direct series cannot reach tol={tol} for (z={args.z}, s={args.s}, u={args.u}): "
-        f"after {n_terms} terms its rounding floor 4*eps*sum|terms| is already {floor:.3g}, "
-        f"so the attainable tolerance is at least {floor:.3g}"
-    )
-
-
 def _direct_series(args: LerchArgs, tol: float, budget: int) -> EvalResult:
     """Sum z^n (u+n)^(-s) for n = 0..N and stop at the first N that meets ``tol``.
 
     N >= 1 meets ``tol`` when its tail bound plus the rounding allowance
-    4*eps*sum|terms| is at most ``tol``.  With a decreasing tail bound no N before the first one whose bound alone
-    meets ``tol`` minus the allowance can stop, so the terms before it (less
-    a margin of ``_STOP_MARGIN``) go through ``CompensatedSum.extend`` with
-    no test; the stop and every number are those of testing each term.  It
-    raises ConvergenceError at once when that first N lies beyond
-    ``budget``, and as soon as the allowance alone exceeds ``tol``: it
-    never shrinks, so no later N could stop.
+    ``CompensatedSum.floor`` is at most ``tol``.  With a decreasing tail
+    bound no N before the first one whose bound alone meets ``tol`` minus
+    the allowance can stop, so the terms before it (less a margin of
+    ``_STOP_MARGIN``) go through ``CompensatedSum.extend`` with no test; the
+    stop and every number are those of testing each term.  It raises
+    ConvergenceError at once when that first N lies beyond ``budget``, and
+    as soon as the allowance alone exceeds ``tol``: it never shrinks, so no
+    later N could stop.
     """
     z, s, u = args.z, args.s, args.u
     if abs(z) == 0.0:
         value = u ** (-s)  # only the n=0 term survives
-        return EvalResult(value, 2.0 * _EPS * abs(value), METHOD_DIRECT_SERIES, 1)
+        return EvalResult(value, 2.0 * EPS * abs(value), METHOD_DIRECT_SERIES, 1)
     tail_bound, decreasing = _series_tail_bound(z, s, u)
+    what = lambda: f"direct series for (z={z}, s={s}, u={u})"  # noqa: E731
     acc = CompensatedSum()
     terms = _series_terms(z, u, s)
     n = 0  # terms summed so far
     while decreasing:
-        floor = 4.0 * _EPS * acc.abs_total
-        if floor > tol:
-            raise _floor_error(tol, floor, n, args)
+        floor = acc.check_floor(tol, n, what)
         first = _first_below(tail_bound, tol - floor, budget + _STOP_MARGIN)
         if first - _STOP_MARGIN > budget:
             raise ConvergenceError(
@@ -181,11 +171,9 @@ def _direct_series(args: LerchArgs, tol: float, budget: int) -> EvalResult:
         acc.add(next(terms))
         if n >= 1:
             tail = tail_bound(n)
-            rounding = 4.0 * _EPS * acc.abs_total
+            rounding = acc.check_floor(tol, n + 1, what)
             if tail + rounding <= tol:
                 return EvalResult(acc.value, tail + rounding, METHOD_DIRECT_SERIES, n + 1)
-            if rounding > tol:
-                raise _floor_error(tol, rounding, n + 1, args)
     raise ConvergenceError(
         f"direct series exhausted {budget} terms at tol={tol} for (z={z}, s={s}, u={u})"
     )
@@ -196,7 +184,7 @@ def _quadrature_fallback(args: LerchArgs, tol: float) -> EvalResult:
     g = gamma(args.s)
     q = quad1d.lerch_kernel_integral(args.z, args.u, args.s - 1.0, tol=tol * abs(g))
     value = q.value / g
-    return EvalResult(value, q.abs_err / abs(g) + 4.0 * _EPS * abs(value),
+    return EvalResult(value, q.abs_err / abs(g) + 4.0 * EPS * abs(value),
                       METHOD_QUADRATURE_FALLBACK, q.nodes)
 
 
@@ -204,10 +192,10 @@ def phi(args: LerchArgs, tol: float = 1e-12, *, allow_quadrature: bool = False) 
     """Evaluate Phi at ``args`` to absolute tolerance ``tol``.
 
     Dispatch: z = 1 -> Euler-Maclaurin; z = -1 -> alternating acceleration;
-    |z| <= 0.9 -> direct series; 0.9 < |z| < 1 and the unit circle with
-    Re s > 1 -> direct series with an extended work budget.  The quadrature
-    fallback never runs unless ``allow_quadrature`` is set, and its result
-    carries the "quadrature-fallback" method tag.
+    |z| < 1, and the unit circle with Re s > 1 -> the direct series, with
+    one budget of ``_SERIES_BUDGET`` terms.  The quadrature fallback never
+    runs unless ``allow_quadrature`` is set, and its result carries the
+    "quadrature-fallback" method tag.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -217,13 +205,11 @@ def phi(args: LerchArgs, tol: float = 1e-12, *, allow_quadrature: bool = False) 
     if is_one(-z):
         return alt_lerch(s, args.u, tol)
     az = abs(z)
-    if az <= 0.9:
-        return _direct_series(args, tol, _SERIES_BUDGET)
     if az < _DISK_EDGE or abs(az - 1.0) <= 1e-14:
         if az >= _DISK_EDGE and s.real <= 1.0:
             raise DomainError(f"|z|=1 with z != +-1 needs Re s > 1 for the series, got s={s}")
         try:
-            return _direct_series(args, tol, _SERIES_BUDGET_NEAR_DISK_EDGE)
+            return _direct_series(args, tol, _SERIES_BUDGET)
         except ConvergenceError:
             if allow_quadrature:
                 return _quadrature_fallback(args, tol)

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compsum import EPS
 from .errors import ConvergenceError, DomainError, EvaluationError
 
 DEFAULT_TOL = 1e-12
@@ -42,10 +43,9 @@ _G_CUTOFF = 368.0  # (pi/2) sinh(v) beyond this underflows exp(-2g)
 _HALF_PI = 0.5 * math.pi
 _LN_QUARTER_PI = math.log(0.25 * math.pi)  # ln of the Jacobian prefactor
 
-_EPS = 2.220446049250313e-16
 _NEAR_CUT = 0.25  # -ln t below which a kernel sum is summed as its series
 _SERIES_ORDER = 32  # highest power of -ln t tabulated at the near-one nodes
-_NOISE = 64.0 * _EPS  # a series coefficient this small against its terms is rounding
+_NOISE = 64.0 * EPS  # a series coefficient this small against its terms is rounding
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ def _taylor(parts: list, cut: float):
                 continue
             j, lead = n, abs(a)
         coeffs.append(a)
-        if n >= kmax and mag * cut ** (n - j) <= _EPS * lead:
+        if n >= kmax and mag * cut ** (n - j) <= EPS * lead:
             break
     return j, coeffs
 

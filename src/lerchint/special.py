@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .compsum import CompensatedSum
+from .compsum import EPS, CompensatedSum
 from .errors import ConvergenceError, DomainError, EvaluationError, PoleError
 
 METHOD_DIRECT_SERIES = "direct-series"
@@ -34,8 +34,6 @@ METHODS = frozenset(
         METHOD_QUADRATURE_FALLBACK,
     }
 )
-
-_EPS = 2.220446049250313e-16
 
 
 @dataclass(frozen=True)
@@ -148,9 +146,12 @@ def hurwitz_zeta(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
     Truncated sum plus Euler-Maclaurin tail: integral term, half-term, then
     Bernoulli corrections B_2..B_30.  The truncation point N doubles until
     the first omitted correction term drops below tol/4, extending (not
-    restarting) the partial sum; abs_err covers that omission and rounding.
-    Once the rounding allowance 4*eps*sum|terms| alone exceeds tol it
-    raises ConvergenceError naming that floor, since the sum only grows.
+    restarting) the partial sum; abs_err covers that omission and the
+    rounding allowance 4*eps*(sum|terms| + |tail|).  That allowance is at
+    least 4*eps*(sum|terms| + T), with T a lower bound on |tail| at every N
+    up to the cap, and sum|terms| only grows; once that floor exceeds tol it
+    raises ConvergenceError naming it.  Near s = 1 the tail ~ N^(1-s)/(s-1)
+    is what keeps the floor up.
     """
     s = complex(s)
     u = complex(u)
@@ -163,19 +164,24 @@ def hurwitz_zeta(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
 
     n_terms = max(16, int(1.2 * abs(s)) + 4)
     neg_s = -s
+    what = lambda: f"hurwitz_zeta for (s={s}, u={u})"  # noqa: E731
+    # |tail(N)| >= |u+cap|^(1-Re s) e^(-|Im s| |arg(u+N)|) / |s-1|
+    #              - |u+N|^(-Re s) e^(|Im s| |arg(u+N)|) / 2
+    # for every N from the current one to the cap, since |u+N| only grows
+    # and |arg(u+N)| only shrinks
+    far = abs(u + _MAX_HURWITZ_N) ** (1.0 - s.real) / abs(s - 1.0)
     acc = CompensatedSum()
     summed = 0  # the partial sum runs on from here when N doubles
     while n_terms <= _MAX_HURWITZ_N:
         acc.extend((u + n) ** neg_s for n in range(summed, n_terms))
         summed = n_terms
-        floor = 4.0 * _EPS * acc.abs_total
-        if floor > tol:  # abs_err is at least this, and the sum of |terms| only grows
-            raise ConvergenceError(
-                f"hurwitz_zeta cannot reach tol={tol} for (s={s}, u={u}): after {summed} "
-                f"terms its rounding floor 4*eps*sum|terms| is already {floor:.3g}, so the "
-                f"attainable tolerance is at least {floor:.3g}"
-            )
         base = u + n_terms
+        spread = abs(s.imag) * abs(cmath.phase(base))
+        least_tail = 0.0  # also a bound, where e^spread would overflow
+        if spread < 700.0:
+            least_tail = max(0.0, far * math.exp(-spread)
+                             - 0.5 * abs(base) ** (-s.real) * math.exp(spread))
+        acc.check_floor(tol, summed, what, least_tail)
         base_pow = base ** (-s)
         tail = base * base_pow / (s - 1.0) + 0.5 * base_pow
 
@@ -201,7 +207,7 @@ def hurwitz_zeta(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
         value = acc.value + tail + corrections
         # each term power costs a few ulp of its own magnitude; compensated
         # addition contributes only eps of the total
-        abs_err = 2.0 * omitted + 4.0 * _EPS * (acc.abs_total + abs(tail))
+        abs_err = 2.0 * omitted + acc.floor(abs(tail))
         if abs_err <= tol:
             return EvalResult(value, abs_err, METHOD_EULER_MACLAURIN, n_terms + used + 1)
         n_terms *= 2
@@ -265,7 +271,7 @@ def alt_lerch(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
         v2 = _cvz_sum(s, u, n + 6)
         work += 2 * n + 6
         diff = abs(v1 - v2)
-        abs_err = max(diff, 8.0 * _EPS * scale)
+        abs_err = max(diff, 8.0 * EPS * scale)
         if not (math.isfinite(v2.real) and math.isfinite(v2.imag)):
             raise EvaluationError(f"alt_lerch produced non-finite value (s={s}, u={u})")
         if abs_err <= tol:

@@ -189,7 +189,7 @@ def acceptance_grid():
                     )
             for s in (0.5, 1.0):
                 if family in ("f-kernel", "theorem4-kernel") and s <= 2.05 - m:
-                    continue  # z=1 needs the Hurwitz margin on s+m-1
+                    continue  # the pinned grid keeps Re(s+m-1) > 1.05 at z=1
                 specs.append(
                     IntegrandSpec(m=m, family=family, exponents=_grid_exponents(family, m), z=1.0, s=s)
                 )

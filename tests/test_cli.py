@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from lerchint import reduced_eval
+from lerchint import IntegrandSpec, reduced_eval, verify_batch
 from lerchint.cli import (
     main,
     parse_complex,
@@ -123,6 +123,18 @@ class TestVerifyCommand:
         assert code == 0
         assert doc["lhs_qmc"] is not None
         assert doc["qmc_sigma_gap"] <= 3.0
+
+    @pytest.mark.parametrize("flags,fragment", [
+        (["--theorem", "t3-sym", "--m", "2", "--u", "1.3", "--v", "2"], "takes 1 exponent(s), got 2"),
+        (["--theorem", "t5", "--m", "2", "--u", "5", "--u1", "1", "--u2", "2"],
+         "takes 2 exponent(s), got 3"),
+    ], ids=["t3-sym-with-v", "t5-with-u-and-indexed"])
+    def test_extra_exponent_flag_exit_2(self, capsys, flags, fragment):
+        # every exponent flag given reaches IntegrandSpec, which rejects the count
+        code, doc = run_json(capsys, ["verify", "--z", "0.5", "--s", "1"] + flags)
+        assert code == 2
+        assert doc["error"]["type"] == "DomainError"
+        assert fragment in doc["error"]["message"]
 
     def test_qmc_points_validated(self, capsys):
         code, doc = run_json(
@@ -279,3 +291,101 @@ class TestSeedEnvOverride:
             ["verify", "--theorem", "t3-sym", "--m", "2", "--z", "0.5", "--s", "1", "--u", "1.3"],
         )
         assert code == 2
+
+
+_VERIFY_SYM = ["verify", "--theorem", "t3-sym", "--m", "2", "--z", "0.5", "--u", "1.3"]
+_SMALL_QMC = ["--qmc", "--qmc-points", "1024", "--qmc-replicates", "4"]
+_REPORT_KEYS = {"spec", "rhs", "lhs_reduced", "abs_gap_reduced", "rel_gap_reduced", "tol",
+                "cancellation_flagged", "pass", "lhs_qmc"}
+
+
+def _is_cplx(obj) -> bool:
+    return isinstance(obj, dict) and set(obj) == {"re", "im"} and all(
+        type(v) is float for v in obj.values())
+
+
+def _check_report_body(doc: dict) -> None:
+    assert set(doc["spec"]) == {"m", "family", "exponents", "z", "s"}
+    assert type(doc["spec"]["m"]) is int and type(doc["spec"]["family"]) is str
+    assert all(map(_is_cplx, doc["spec"]["exponents"]))
+    assert _is_cplx(doc["spec"]["z"]) and _is_cplx(doc["spec"]["s"]) and _is_cplx(doc["rhs"])
+    assert set(doc["lhs_reduced"]) == {"value", "abs_err", "nodes"}
+    assert _is_cplx(doc["lhs_reduced"]["value"]) and type(doc["lhs_reduced"]["nodes"]) is int
+    for value in (doc["abs_gap_reduced"], doc["rel_gap_reduced"], doc["tol"],
+                  doc["lhs_reduced"]["abs_err"]):
+        assert type(value) is float
+    assert type(doc["cancellation_flagged"]) is bool and type(doc["pass"]) is bool
+
+
+class TestJsonFormat:
+    """The keys and value types of every JSON document: an encoder change must keep them."""
+
+    def test_report_when_qmc_ran(self, capsys):
+        code, doc = run_json(capsys, _VERIFY_SYM + ["--s", "1"] + _SMALL_QMC)
+        assert code == 0
+        assert set(doc) == _REPORT_KEYS | {"qmc_sigma_gap"}
+        _check_report_body(doc)
+        assert set(doc["lhs_qmc"]) == {"estimate", "std_err", "points", "replicates", "seed"}
+        assert _is_cplx(doc["lhs_qmc"]["estimate"]) and type(doc["lhs_qmc"]["std_err"]) is float
+        assert all(type(doc["lhs_qmc"][k]) is int for k in ("points", "replicates", "seed"))
+        assert type(doc["qmc_sigma_gap"]) is float
+
+    def test_report_when_qmc_skipped(self, capsys):
+        code, doc = run_json(capsys, _VERIFY_SYM + ["--s", "-0.5"] + _SMALL_QMC)
+        assert code == 0
+        assert set(doc) == _REPORT_KEYS | {"qmc_skip_reason"}
+        _check_report_body(doc)
+        assert doc["lhs_qmc"] is None
+        assert doc["qmc_skip_reason"].startswith("Re s = -0.5 < 0")
+
+    def test_report_without_qmc(self, capsys):
+        code, doc = run_json(capsys, _VERIFY_SYM + ["--s", "1"])
+        assert code == 0
+        assert set(doc) == _REPORT_KEYS | {"qmc_skip_reason"}
+        assert doc["lhs_qmc"] is None and doc["qmc_skip_reason"] is None
+
+    def test_batch_error_report(self):
+        # Phi(1, 0.96, 2) has no convergent series: the closed form raises
+        bad = IntegrandSpec(3, "f-kernel", (2.0, 1.0), 1.0, -1.04)
+        doc = json.loads(json.dumps(verify_batch([bad])[0].to_json_dict()))
+        assert set(doc) == _REPORT_KEYS | {"qmc_skip_reason", "error"}
+        _check_report_body(doc)
+        assert doc["error"].startswith("DomainError: ")
+        assert doc["pass"] is False and doc["lhs_qmc"] is None and doc["qmc_skip_reason"] is None
+
+    def test_phi_document(self, capsys):
+        code, doc = run_json(capsys, ["phi", "--z", "0.5", "--s", "2", "--u", "1.3"])
+        assert code == 0
+        assert set(doc) == {"value", "abs_err", "method", "work"}
+        assert _is_cplx(doc["value"]) and type(doc["abs_err"]) is float
+        assert doc["method"] == "direct-series" and type(doc["work"]) is int
+
+    def test_reduce_evaluate_document(self, capsys):
+        code, doc = run_json(
+            capsys,
+            ["reduce", "--family", "symmetric", "--m", "2", "--z", "0.5", "--s", "1",
+             "--u", "1.5", "--evaluate"],
+        )
+        assert code == 0
+        assert set(doc) == {"prefactor", "terms", "value", "abs_err", "nodes"}
+        assert type(doc["prefactor"]) is float
+        (term,) = doc["terms"]
+        assert set(term) == {"coeff", "w", "p", "z"} and all(map(_is_cplx, term.values()))
+        assert term["coeff"] == {"re": 1.0, "im": 0.0}  # a real coefficient is still complex
+        assert _is_cplx(doc["value"]) and type(doc["abs_err"]) is float
+        assert type(doc["nodes"]) is int
+
+    def test_text_mode_lines(self, capsys):
+        code, out = run_cli(capsys, ["--output", "text", "phi", "--z", "0", "--s", "2", "--u", "1"])
+        assert code == 0
+        assert set(out.splitlines()) == {
+            "value = 1.0 + 0.0i", "abs_err = 4.440892098500626e-16",
+            "method = 'direct-series'", "work = 1"}
+        code, out = run_cli(capsys, ["--output", "text"] + _VERIFY_SYM + ["--s", "1"] + _SMALL_QMC)
+        assert code == 0
+        assert {line.split(" = ")[0] for line in out.splitlines()} == {
+            "spec:", "  m", "  family", "  exponents: [1 entries]", "    [0]", "      re",
+            "      im", "  z", "  s", "rhs", "lhs_reduced:", "  value", "  abs_err", "  nodes",
+            "abs_gap_reduced", "rel_gap_reduced", "tol", "cancellation_flagged", "pass",
+            "lhs_qmc:", "  estimate", "  std_err", "  points", "  replicates", "  seed",
+            "qmc_sigma_gap"}

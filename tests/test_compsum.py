@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from lerchint.compsum import CompensatedSum
+from lerchint.compsum import EPS, CompensatedSum
+from lerchint.errors import ConvergenceError
 from oracles import PerTermSum
 
 
@@ -53,3 +54,26 @@ def test_compensation_beats_plain_addition():
     acc.extend([1.0 + 0j] + [1e-16 + 0j] * 10_000)
     assert abs(acc.value - (1.0 + 1e-12)) <= 2.3e-16
     assert acc.abs_total == 1.0  # the plain sum of magnitudes is left uncompensated
+
+
+def test_floor_is_four_eps_of_the_magnitudes_plus_extra():
+    acc = CompensatedSum()
+    acc.extend([3.0 + 4.0j, -1.0 + 0j])
+    assert acc.floor() == 4.0 * EPS * 6.0
+    assert acc.floor(2.0) == 4.0 * EPS * 8.0
+
+
+def test_check_floor_returns_the_floor_or_names_it():
+    acc = CompensatedSum()
+    acc.add(1e4 + 0j)
+
+    def unused() -> str:
+        raise AssertionError("the message is built only when raising")
+
+    assert acc.check_floor(acc.floor(), 1, unused) == acc.floor()
+    with pytest.raises(ConvergenceError, match=r"^a series cannot reach tol=1e-13: after 1 terms "
+                       r"its rounding floor is already 8.88e-12, so the attainable tolerance "
+                       r"is at least 8.88e-12$"):
+        acc.check_floor(1e-13, 1, lambda: "a series")
+    with pytest.raises(ConvergenceError, match="at least 1.78e-11$"):
+        acc.check_floor(1e-11, 1, lambda: "a series", extra=1e4)

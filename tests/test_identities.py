@@ -311,12 +311,19 @@ class TestVerify:
 
     def test_batch_records_errors(self):
         good = IntegrandSpec(m=1, family="symmetric", exponents=(2.0,), z=0.0, s=1.0)
-        # the closed form's Hurwitz margin rejects Re(s+m-1) = 1.04 at z = 1
-        bad = IntegrandSpec(m=3, family="f-kernel", exponents=(2.0, 1.0), z=1.0, s=-0.96)
+        # LerchArgs rejects Phi(1, s+m-1, u) at Re(s+m-1) = 0.96: no series converges there
+        bad = IntegrandSpec(m=3, family="f-kernel", exponents=(2.0, 1.0), z=1.0, s=-1.04)
         reports = verify_batch([good, bad])
         assert reports[0].pass_
         assert not reports[1].pass_
         assert reports[1].error is not None
+
+    def test_z_one_closed_form_just_above_the_hurwitz_edge(self):
+        # Phi(1, 1.04, v) - Phi(1, 1.04, u) = zeta(1.04, 1) - zeta(1.04, 2) = 1 exactly,
+        # so the closed form is gamma(1.04)
+        rep = verify(IntegrandSpec(m=3, family="f-kernel", exponents=(2.0, 1.0), z=1.0, s=-0.96))
+        assert rep.pass_
+        assert abs(rep.rhs - math.gamma(1.04)) <= 1e-13 * math.gamma(1.04)
 
 
 class TestDimensionLift:

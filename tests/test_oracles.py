@@ -11,11 +11,14 @@ contour representation.
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
 from lerchint import (
+    ConvergenceError,
+    IntegrandSpec,
     LerchArgs,
     alt_lerch,
     gamma,
@@ -26,6 +29,7 @@ from lerchint import (
     rhs_theorem3_symmetric,
     rhs_theorem4,
     rhs_theorem5,
+    verify,
 )
 
 
@@ -102,6 +106,30 @@ def test_hurwitz_matches_mpmath():
         assert abs(ours.value - ref) <= 1e-11 * (1.0 + abs(ref)), f"s={s}, u={u}"
 
 
+def _near_one_cases() -> list:
+    """s just above 1 (real, then complex with complex u), tol 1e-13."""
+    rng = np.random.default_rng(41)
+    cases = [(sr, u) for sr in (1.005, 1.01, 1.02, 1.05) for u in (0.3, 1.0, 2.5)]
+    for _ in range(8):
+        s = complex(1.0 + 10.0 ** rng.uniform(-3.0, -1.3), rng.uniform(-2.0, 2.0))
+        cases.append((s, complex(rng.uniform(0.3, 2.5), rng.uniform(-1.0, 1.0))))
+    return cases
+
+
+@pytest.mark.parametrize("s,u", _near_one_cases())
+def test_hurwitz_near_one_is_honest_against_mpmath(s, u):
+    try:
+        ours = hurwitz_zeta(s, u, tol=1e-13)
+    except ConvergenceError as exc:
+        # only where the tail's rounding floor is out of reach, and it says so
+        assert complex(s).real < 1.01 and "attainable tolerance is at least" in str(exc)
+        return
+    with mpmath.workdps(30):
+        ref = complex(mpmath.zeta(mpmath.mpmathify(s), mpmath.mpmathify(u)))
+    assert ours.abs_err <= 1e-13
+    assert abs(ours.value - ref) <= ours.abs_err
+
+
 def test_alt_lerch_matches_mpmath():
     for s, u in [(0.3, 1.0), (1.0, 0.1), (4.0, 3.0), (1.5 + 3.0j, 0.9)]:
         ours = alt_lerch(s, u, tol=1e-13)
@@ -168,3 +196,26 @@ def test_closed_forms_match_mpmath_assembly():
     assert abs(rhs_theorem3_symmetric(3, z, s, u) - sym) <= 1e-10 * abs(sym)
     assert abs(rhs_theorem4(3, z, s, u) - th4) <= 1e-10 * abs(th4)
     assert abs(rhs_theorem5((1.0, 2.0, 3.0), z, s) - t5) <= 1e-10 * abs(t5)
+
+
+@pytest.mark.parametrize("s", [-1.99, -1.5, -1.0])
+def test_theorem4_at_z_one_matches_mpmath(s):
+    # Re(s+m-1) <= 1: the (1-z) Phi(z, s+m-1, u) term is zero and must not be evaluated
+    m, u = 3, 1.3
+    with mpmath.workdps(30):
+        sm = mpmath.mpf(s) + m
+        ref = complex(mpmath.gamma(sm) * (mpmath.zeta(sm, u) - mpmath.mpf(u) ** (1 - sm) / (sm - 1)))
+    rep = verify(IntegrandSpec(m, "theorem4-kernel", (u,), 1.0, s))
+    assert rep.pass_ and rep.error is None
+    assert abs(rep.rhs - ref) <= 1e-13 * abs(ref)
+    assert abs(rep.lhs_reduced.value - ref) <= 1e-8 * abs(ref)
+
+
+@pytest.mark.parametrize("m,sigma,u", [(2, 1.045, 2.5), (3, 1.04, 1.3)])
+def test_symmetric_at_z_one_just_above_the_hurwitz_edge(m, sigma, u):
+    # Phi(1, s+m, u) = zeta(s+m, u) with s+m in (1.01, 1.05), just above the pole at 1
+    with mpmath.workdps(30):
+        ref = complex(mpmath.gamma(sigma) / mpmath.factorial(m - 1) * mpmath.zeta(sigma, u))
+    rep = verify(IntegrandSpec(m, "symmetric", (u,), 1.0, sigma - m))
+    assert rep.pass_
+    assert abs(rep.rhs - ref) <= 1e-13 * abs(ref)

@@ -124,9 +124,19 @@ class TestHurwitzZeta:
             hurwitz_zeta(2.0, -1.0)
 
     def test_unreachable_tolerance_raises(self):
-        # below the double-precision rounding floor of the summation
-        with pytest.raises(ConvergenceError, match="attainable tolerance is at least 2.43e-15"):
+        # below the rounding floor 4*eps*(sum|terms| + the least tail up to the cap)
+        with pytest.raises(ConvergenceError, match="attainable tolerance is at least 2.69e-15"):
             hurwitz_zeta(1.2, 1.0, tol=1e-17)
+
+    @pytest.mark.parametrize("s,tol,floor", [(1.0001, 1e-12, 8.87e-12), (1.001, 1e-13, 8.79e-13)])
+    def test_near_one_fails_fast_on_the_tail_floor(self, s, tol, floor):
+        # the Euler-Maclaurin tail ~ N^(1-s)/(s-1) keeps 4*eps*|tail| above tol at
+        # every N up to the 2^20 cap, so the first partial sum already decides
+        with pytest.raises(ConvergenceError, match=f"after 16 terms .* at least {floor:.3g}$"):
+            hurwitz_zeta(s, 1.0, tol=tol)
+        r = hurwitz_zeta(s, 1.0, tol=2.0 * floor)
+        assert r.abs_err <= 2.0 * floor
+        assert r.work <= 21
 
     def test_reported_error_meets_requested_tolerance(self):
         for tol in (1e-6, 1e-10, 1e-13):
