@@ -18,6 +18,13 @@ sum can vanish to a higher power of -ln t than any of its terms, so there
 it is summed from its Taylor series in -ln t, whose cancelling leading
 coefficients are exactly zero; see ``_kernel_group``.
 
+Most such sums converge by level 4, so ``reduced_eval`` evaluates levels
+0-4 in one vectorized pass over a cached block that concatenates their
+nodes, and each later level on its own.  Each level is still summed over
+its own nodes and tested in turn, giving the numbers a level-by-level
+pass gives; ``QuadResult.nodes`` counts only the nodes of the levels the
+result used.
+
 Truncating the node tables where the transformed weight underflows drops
 an endpoint tail of mass about exp(-736 Re w)/Re w (and similarly in the
 exponent p+1 at t=1), negligible for Re w >= 0.05 at any supported
@@ -30,6 +37,7 @@ import inspect
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +54,7 @@ _LN_QUARTER_PI = math.log(0.25 * math.pi)  # ln of the Jacobian prefactor
 _NEAR_CUT = 0.25  # -ln t below which a kernel sum is summed as its series
 _SERIES_ORDER = 32  # highest power of -ln t tabulated at the near-one nodes
 _NOISE = 64.0 * EPS  # a series coefficient this small against its terms is rounding
+_BATCH_LEVELS = 5  # levels 0-4 share one node block; almost every kernel sum stops by level 4
 
 
 @dataclass(frozen=True)
@@ -156,28 +165,112 @@ def _level_nodes(level: int) -> _LevelNodes:
     return _LEVEL_CACHE[level]
 
 
-def _integrate(level_sum, tol: float, max_level: int) -> QuadResult:
-    """Shared refinement driver.
+class _Powers:
+    """-ln t at some of a block's nodes, with its integer powers cached."""
 
-    ``level_sum(nodes)`` returns (sum of weight*f over the level's nodes,
-    node count).  Converged when successive level values differ by <= tol.
+    __slots__ = ("ell", "cache")
+
+    def __init__(self, ell: np.ndarray):
+        self.ell = ell
+        self.cache: dict = {}  # k -> ell ** k, filled on first use
+
+    def power(self, k: int) -> np.ndarray:
+        row = self.cache.get(k)
+        return row if row is not None else self.cache.setdefault(k, self.ell ** k)
+
+
+class _Split(NamedTuple):
+    """A block's nodes split at a cut in -ln t; in each level the nodes below it come first."""
+
+    counts: tuple        # nodes below the cut in each level
+    near: np.ndarray     # mask of the nodes below the cut
+    far: _Powers         # -ln t at the others
+    order: np.ndarray    # puts concatenate((values below, values above)) in block order
+
+
+class _NodeBlock(NamedTuple):
+    """The nodes of consecutive refinement levels, concatenated in level order."""
+
+    levels: tuple         # the levels' _LevelNodes
+    bounds: tuple         # (start, stop) of each level's nodes
+    neg_log_t: _Powers
+    ln_neg_log_t: np.ndarray
+    neg_log_tc: np.ndarray
+    log_weight: np.ndarray
+    upper: np.ndarray     # t > 0.5, where 1 - z t is formed as (1 - z) + z (1 - t)
+    lin: np.ndarray       # 1 - t where upper, else -t: 1 - z t = (1 - z or 1) + z lin
+    near_cut: _Split      # split at _NEAR_CUT
+
+    def split(self, cut: float) -> _Split:
+        if cut == _NEAR_CUT:
+            return self.near_cut
+        return _split(self.levels, self.bounds, self.neg_log_t.ell, cut)
+
+
+def _split(levels: tuple, bounds: tuple, ell: np.ndarray, cut: float) -> _Split:
+    counts = tuple(int(np.searchsorted(lv.neg_log_t[: lv.near], cut)) for lv in levels)
+    near_at = np.concatenate([np.arange(lo, lo + n) for (lo, _), n in zip(bounds, counts)])
+    far_at = np.concatenate([np.arange(lo + n, hi) for (lo, hi), n in zip(bounds, counts)])
+    near = np.zeros(len(ell), dtype=bool)
+    near[near_at] = True
+    return _Split(counts, near, _Powers(ell[far_at]), np.argsort(np.concatenate((near_at, far_at))))
+
+
+def _build_block(levels: tuple) -> _NodeBlock:
+    def join(name):
+        cols = [getattr(lv, name) for lv in levels]
+        return cols[0] if len(cols) == 1 else np.concatenate(cols)
+
+    stops = np.cumsum([len(lv.t) for lv in levels]).tolist()
+    bounds = tuple(zip([0] + stops[:-1], stops))
+    t, ell = join("t"), join("neg_log_t")
+    upper = t > 0.5
+    return _NodeBlock(levels, bounds, _Powers(ell), join("ln_neg_log_t"), join("neg_log_tc"),
+                      join("log_weight"), upper, np.where(upper, join("tc"), -t),
+                      _split(levels, bounds, ell, _NEAR_CUT))
+
+
+_BLOCK_CACHE: dict = {}
+_BLOCK_CACHE_LOCK = threading.Lock()
+
+
+def _node_block(levels: range) -> _NodeBlock:
+    key = (levels.start, levels.stop)
+    if key not in _BLOCK_CACHE:
+        tables = tuple(_level_nodes(level) for level in levels)
+        with _BLOCK_CACHE_LOCK:
+            if key not in _BLOCK_CACHE:
+                _BLOCK_CACHE[key] = _build_block(tables)
+    return _BLOCK_CACHE[key]
+
+
+def _integrate(level_sums, tol: float, max_level: int) -> QuadResult:
+    """The refinement driver of every quadrature here.
+
+    ``level_sums(levels)`` yields, for each level of the range ``levels`` in
+    order, (sum of weight*f over the nodes new to that level, their count).
+    The first range holds levels 0 to min(4, max_level) and each later one a
+    single level, so a caller may evaluate levels 0-4 in one pass; it should
+    raise for a level only when that level's pair is asked for.  Converged when
+    successive level values differ by <= tol from level 2 on; abs_err is that
+    difference, and at the level cap the last one.
     """
     total = 0j
     nodes_used = 0
-    prev = None
-    for level in range(max_level + 1):
-        nodes = _level_nodes(level)
-        s, n = level_sum(nodes)
-        s = complex(s)
-        nodes_used += n
-        h = 0.5 ** level
-        total = (0.5 * total + h * s) if level > 0 else s
-        if prev is not None:
+    diff = math.inf
+    levels = range(min(_BATCH_LEVELS, max_level + 1))
+    while levels:
+        for level, (s, n) in zip(levels, level_sums(levels)):
+            s = complex(s)
+            nodes_used += n
+            if level == 0:
+                total = s
+                continue
+            prev, total = total, 0.5 * total + 0.5 ** level * s
             diff = abs(total - prev)
             if level >= 2 and diff <= tol:
                 return QuadResult(total, diff, nodes_used)
-        prev = total
-    diff = abs(total - prev) if prev is not None else math.inf
+        levels = range(levels.stop, min(levels.stop + 1, max_level + 1))
     partial = QuadResult(total, diff, nodes_used)
     raise ConvergenceError(
         f"tanh-sinh level cap {max_level} hit with diff={diff:.3e} > tol={tol}",
@@ -232,7 +325,7 @@ def tanh_sinh(f, tol: float = DEFAULT_TOL, max_level: int = DEFAULT_MAX_LEVEL) -
             acc += wgt * fv
         return acc, count
 
-    return _integrate(level_sum, tol, max_level)
+    return _integrate(lambda levels: (level_sum(_level_nodes(lv)) for lv in levels), tol, max_level)
 
 
 def _taylor(parts: list, cut: float):
@@ -245,16 +338,22 @@ def _taylor(parts: list, cut: float):
     so that test is safe.  j = None when every order up to _SERIES_ORDER cancels.
     """
     kmax = max(k for _, _, k in parts)
-    cur = [0.0] * len(parts)
+    states = [[c, -d, k] for c, d, k in parts]  # [term of the current order, -d_i, k_i]
+    live: list = []
     coeffs: list = []
     j = None
     for n in range(_SERIES_ORDER + 1):
+        if n <= kmax + 1:
+            # the parts whose order k_i has been reached, in part order, less
+            # those with d_i = 0 once their term is an exact zero: their later
+            # terms are zeros too, and adding a zero changes neither a nor mag
+            live = [st for st in states if st[2] <= n and (st[1] or st[0])]
         a = mag = 0.0
-        for i, (c, d, k) in enumerate(parts):
-            if n >= k:
-                cur[i] = c if n == k else cur[i] * -d / (n - k)
-                a += cur[i]
-                mag += abs(cur[i])
+        for st in live:
+            x = st[0]
+            a += x
+            mag += abs(x)
+            st[0] = x * st[1] / (n + 1 - st[2])
         if abs(a) <= _NOISE * mag:
             a = 0.0
         if j is None:
@@ -268,7 +367,7 @@ def _taylor(parts: list, cut: float):
 
 
 def _kernel_group(terms: list):
-    """Level-sum function of kernel terms with one z whose p differ by integers.
+    """Block-sum function of kernel terms with one z whose p differ by integers.
 
     With p0 and w0 the p and w of smallest real part, k_i = p_i - p0 (an
     integer), d_i = w_i - w0 and L = -ln t, the terms sum to
@@ -279,7 +378,9 @@ def _kernel_group(terms: list):
     (``_taylor``), the group behaves like L^(p0+j) at t = 1, which decides
     its integrability there.  For j > 0 the group is summed below a cut in
     L as t^(w0-1) L^(p0+j) sum_{n>=j} a_n L^(n-j), so the cancelling
-    orders never enter, and above the cut term by term.  Returns None when
+    orders never enter, and above the cut term by term.  The function maps
+    a node block to the list of its levels' sums (each level summed over
+    its own nodes, with one series product per level).  Returns None when
     the terms cancel identically.
     """
     z = complex(terms[0].z)
@@ -295,34 +396,43 @@ def _kernel_group(terms: list):
     bound = 0.0 if z_one else -1.0
     if (p0 + j).real <= bound:
         raise DomainError(f"kernel sum ~ (-ln t)^{p0 + j} at t=1 (z={z}) needs Re > {bound}")
-    a = np.array(coeffs)
-    a_re, a_im = a.real.copy(), (a.imag.copy() if np.any(a.imag) else None)
+    order = len(coeffs)
+    # rows a_re (and a_im when nonzero), shaped so one matmul per level gives
+    # each row's product with that level's powers, as a matmul per row does
+    rows = [[a.real for a in coeffs]]
+    if any(a.imag for a in coeffs):
+        rows.append([a.imag for a in coeffs])
+    a_rows = np.array(rows)[:, None, :]
+    divide = not z_one and z != 0.0
 
-    def level_sum(nodes: _LevelNodes):
-        n = 0 if j == 0 else nodes.near
-        if n and cut < _NEAR_CUT:
-            n = int(np.searchsorted(nodes.neg_log_t[:n], cut))
-        ell, ln_ell = nodes.neg_log_t, nodes.ln_neg_log_t
-        # weight * t^(w0-1) through one exponential: the product is O(integrand
-        # mass) even where the factors individually overflow.
-        base = (1.0 - w0) * ell + nodes.log_weight
-        if z_one:
-            # 1/(1-t) joins the exponential; subnormal 1-t never gets divided by
-            base = base + nodes.neg_log_tc
+    def block_sums(block: _NodeBlock) -> list:
+        split = None if j == 0 else block.split(cut)
+        far = block.neg_log_t if split is None else split.far
         inner = 0.0
         for c, d, k in parts:
-            f = c * np.exp(-d * ell[n:]) if d else c
-            inner = inner + (f * ell[n:] ** k if k else f)
-        vals = np.exp(base[n:] + p0 * ln_ell[n:]) * inner
-        if n:
-            pows = nodes.near_pows[: len(a_re), :n]
-            series = a_re @ pows if a_im is None else a_re @ pows + 1j * (a_im @ pows)
-            vals = np.concatenate((np.exp(base[:n] + (p0 + j) * ln_ell[:n]) * series, vals))
-        if not z_one and z != 0.0:
-            vals = vals / np.where(nodes.t > 0.5, (1.0 - z) + z * nodes.tc, 1.0 - z * nodes.t)
-        return vals.sum()
+            f = c * np.exp(-d * far.ell) if d else c
+            inner = inner + (f * far.power(k) if k else f)
+        # weight * t^(w0-1) * L^p through one exponential: the product is
+        # O(integrand mass) even where the factors individually overflow
+        base = (1.0 - w0) * block.neg_log_t.ell + block.log_weight
+        if z_one:
+            # 1/(1-t) joins the exponential; subnormal 1-t never gets divided by
+            base = base + block.neg_log_tc
+        if split is None:
+            vals = np.exp(base + p0 * block.ln_neg_log_t) * inner
+        else:
+            series = np.concatenate([a_rows @ lv.near_pows[:order, :n]
+                                     for lv, n in zip(block.levels, split.counts)], axis=2)
+            series = series[0, 0] if len(series) == 1 else series[0, 0] + 1j * series[1, 0]
+            if not isinstance(inner, np.ndarray):  # constant parts give j > 0 only if not finite
+                inner = np.full(len(far.ell), inner)
+            p = np.where(split.near, p0 + j, p0)
+            vals = np.exp(base + p * block.ln_neg_log_t) * np.concatenate((series, inner))[split.order]
+        if divide:
+            vals = vals / (np.where(block.upper, 1.0 - z, 1.0) + z * block.lin)
+        return [np.add.reduce(vals[lo:hi]) for lo, hi in block.bounds]
 
-    return level_sum
+    return block_sums
 
 
 def reduced_eval(reduced, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -349,13 +459,15 @@ def reduced_eval(reduced, tol: float = DEFAULT_TOL) -> QuadResult:
     if not groups:
         return QuadResult(0j, 0.0, 0)
 
-    def level_sum(nodes: _LevelNodes):
-        total = complex(sum(g(nodes) for g in groups))
-        if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-            raise EvaluationError(f"kernel sum produced non-finite node values: {terms}")
-        return total, len(nodes.t)
+    def level_sums(levels: range):
+        block = _node_block(levels)
+        for (lo, hi), *sums in zip(block.bounds, *(g(block) for g in groups)):
+            total = complex(sum(sums))
+            if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+                raise EvaluationError(f"kernel sum produced non-finite node values: {terms}")
+            yield total, hi - lo
 
-    return _integrate(level_sum, tol, DEFAULT_MAX_LEVEL)
+    return _integrate(level_sums, tol, DEFAULT_MAX_LEVEL)
 
 
 def lerch_kernel_integral(z: complex, w: complex, p: complex, tol: float = DEFAULT_TOL) -> QuadResult:

@@ -19,8 +19,11 @@ recurrences of Phi from two or more plain ``phi`` calls.
 
 ``PerTermSum`` and ``direct_series_per_term`` are the compensated sum and
 the direct Phi series written term by term: one Neumaier step per call and
-the stopping test after every term.  The library's batched loops must give
-their numbers bit for bit.
+the stopping test after every term.  ``reduced_eval_per_level`` is
+``reduced_eval`` evaluated one tanh-sinh level at a time, each level's node
+values built by their own numpy calls, with the Taylor coefficients
+computed part by part.  The library's batched loops must give their
+numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -28,8 +31,28 @@ from __future__ import annotations
 import math
 import sys
 
-from lerchint import ConvergenceError, DegeneracyError, DomainError, EvalResult, LerchArgs, phi
+import numpy as np
+
+from lerchint import (
+    ConvergenceError,
+    DegeneracyError,
+    DomainError,
+    EvalResult,
+    EvaluationError,
+    LerchArgs,
+    QuadResult,
+    phi,
+)
 from lerchint.lerch import _series_tail_bound
+from lerchint.quad1d import (
+    _NEAR_CUT,
+    _NOISE,
+    _SERIES_ORDER,
+    DEFAULT_MAX_LEVEL,
+    DEFAULT_TOL,
+    _level_nodes,
+    is_one,
+)
 from lerchint.special import METHOD_DIRECT_SERIES
 
 _EPS = sys.float_info.epsilon
@@ -232,3 +255,118 @@ def direct_series_per_term(args: LerchArgs, tol: float, budget: int) -> EvalResu
         zp *= z
         n += 1
     raise ConvergenceError(f"direct series exhausted {budget} terms at tol={tol}")
+
+
+def _taylor_per_part(parts: list, cut: float):
+    """quad1d._taylor with every part tested and its term recomputed at every order."""
+    kmax = max(k for _, _, k in parts)
+    cur = [0.0] * len(parts)
+    coeffs: list = []
+    j = None
+    for n in range(_SERIES_ORDER + 1):
+        a = mag = 0.0
+        for i, (c, d, k) in enumerate(parts):
+            if n >= k:
+                cur[i] = c if n == k else cur[i] * -d / (n - k)
+                a += cur[i]
+                mag += abs(cur[i])
+        if abs(a) <= _NOISE * mag:
+            a = 0.0
+        if j is None:
+            if a == 0.0:
+                continue
+            j, lead = n, abs(a)
+        coeffs.append(a)
+        if n >= kmax and mag * cut ** (n - j) <= _EPS * lead:
+            break
+    return j, coeffs
+
+
+def _kernel_group_per_level(terms: list):
+    """quad1d._kernel_group as a function of one level's nodes."""
+    z = complex(terms[0].z)
+    p0 = min((t.p for t in terms), key=lambda p: p.real)
+    w0 = min((t.w for t in terms), key=lambda w: w.real)
+    parts = [(t.coeff, t.w - w0, round((t.p - p0).real)) for t in terms]
+    dmax = max(abs(d) for _, d, _ in parts)
+    cut = min(_NEAR_CUT, 1.0 / dmax) if dmax else _NEAR_CUT
+    j, coeffs = _taylor_per_part(parts, cut)
+    if j is None:
+        return None
+    z_one = is_one(z)
+    bound = 0.0 if z_one else -1.0
+    if (p0 + j).real <= bound:
+        raise DomainError(f"kernel sum ~ (-ln t)^{p0 + j} at t=1 (z={z}) needs Re > {bound}")
+    a = np.array(coeffs)
+    a_re, a_im = a.real.copy(), (a.imag.copy() if np.any(a.imag) else None)
+
+    def level_sum(nodes):
+        n = 0 if j == 0 else nodes.near
+        if n and cut < _NEAR_CUT:
+            n = int(np.searchsorted(nodes.neg_log_t[:n], cut))
+        ell, ln_ell = nodes.neg_log_t, nodes.ln_neg_log_t
+        base = (1.0 - w0) * ell + nodes.log_weight
+        if z_one:
+            base = base + nodes.neg_log_tc
+        inner = 0.0
+        for c, d, k in parts:
+            f = c * np.exp(-d * ell[n:]) if d else c
+            inner = inner + (f * ell[n:] ** k if k else f)
+        vals = np.exp(base[n:] + p0 * ln_ell[n:]) * inner
+        if n:
+            pows = nodes.near_pows[: len(a_re), :n]
+            series = a_re @ pows if a_im is None else a_re @ pows + 1j * (a_im @ pows)
+            vals = np.concatenate((np.exp(base[:n] + (p0 + j) * ln_ell[:n]) * series, vals))
+        if not z_one and z != 0.0:
+            vals = vals / np.where(nodes.t > 0.5, (1.0 - z) + z * nodes.tc, 1.0 - z * nodes.t)
+        return vals.sum()
+
+    return level_sum
+
+
+def _integrate_per_level(level_sum, tol: float, max_level: int) -> QuadResult:
+    """The level-by-level refinement driver; at the level cap abs_err is the last difference."""
+    total = 0j
+    nodes_used = 0
+    prev = None
+    diff = math.inf
+    for level in range(max_level + 1):
+        s, n = level_sum(_level_nodes(level))
+        s = complex(s)
+        nodes_used += n
+        h = 0.5 ** level
+        total = (0.5 * total + h * s) if level > 0 else s
+        if prev is not None:
+            diff = abs(total - prev)
+            if level >= 2 and diff <= tol:
+                return QuadResult(total, diff, nodes_used)
+        prev = total
+    raise ConvergenceError(
+        f"tanh-sinh level cap {max_level} hit with diff={diff:.3e} > tol={tol}",
+        result=QuadResult(total, diff, nodes_used),
+    )
+
+
+def reduced_eval_per_level(reduced, tol: float = DEFAULT_TOL) -> QuadResult:
+    """quad1d.reduced_eval, one level at a time."""
+    terms = reduced.terms if hasattr(reduced, "terms") else tuple(reduced)
+    buckets: list = []
+    for term in terms:
+        for members in buckets:
+            dp = term.p - members[0].p
+            if members[0].z == term.z and abs(dp - round(dp.real)) <= 1e-12 * (1.0 + abs(term.p)):
+                members.append(term)
+                break
+        else:
+            buckets.append([term])
+    groups = [g for g in map(_kernel_group_per_level, buckets) if g is not None]
+    if not groups:
+        return QuadResult(0j, 0.0, 0)
+
+    def level_sum(nodes):
+        total = complex(sum(g(nodes) for g in groups))
+        if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+            raise EvaluationError(f"kernel sum produced non-finite node values: {terms}")
+        return total, len(nodes.t)
+
+    return _integrate_per_level(level_sum, tol, DEFAULT_MAX_LEVEL)

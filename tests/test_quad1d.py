@@ -1,24 +1,33 @@
 """tanh-sinh quadrature and Lerch-kernel integral tests."""
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
+from oracles import _taylor_per_part, reduced_eval_per_level
 
 from lerchint import (
     EULER_GAMMA,
+    FAMILIES,
     ConvergenceError,
+    DegeneracyError,
     DomainError,
     EvaluationError,
+    IntegrandSpec,
     KernelTerm,
     LerchArgs,
     ReducedIntegrand,
     gamma,
     lerch_kernel_integral,
     phi,
+    reduce,
     reduced_eval,
     tanh_sinh,
+    verify,
 )
+from lerchint.quad1d import _NEAR_CUT, _level_nodes, _taylor
 
 
 class TestTanhSinh:
@@ -54,16 +63,20 @@ class TestTanhSinh:
         partial = err.value.result
         assert partial is not None
         assert partial.nodes > 0
+        # the last difference of levels 2 and 3, not the zero of a level with itself
+        assert partial.abs_err > 0.0
+        assert f"diff={partial.abs_err:.3e} " in str(err.value)
 
     def test_error_monotone_in_level_budget(self):
+        # an interior square-root kink: tanh-sinh converges only algebraically,
+        # so every cap is hit and each one's last difference is smaller
         errs = []
         for cap in (4, 6, 8, 10):
-            try:
-                r = tanh_sinh(lambda t: 1.0 / math.sqrt(t) / 2.0, tol=1e-15, max_level=cap)
-            except ConvergenceError as exc:
-                r = exc.result
-            errs.append(r.abs_err)
-        assert all(a >= b for a, b in zip(errs, errs[1:])), errs
+            with pytest.raises(ConvergenceError) as err:
+                tanh_sinh(lambda t: math.sqrt(abs(t - 0.5)), tol=1e-15, max_level=cap)
+            errs.append(err.value.result.abs_err)
+        assert errs[-1] > 0.0
+        assert all(a > b for a, b in zip(errs, errs[1:])), errs
 
 
 class TestKernelTermValidation:
@@ -199,3 +212,122 @@ def test_node_tables_consistent():
         # where the float abscissa did not collapse, t + tc reconstructs 1
         ok = nodes.t < 1.0
         assert np.allclose(nodes.t[ok] + nodes.tc[ok], 1.0, rtol=0, atol=1e-15)
+
+
+def test_verify_level_cap_reports_the_last_difference():
+    # z = 1 with a kernel exponent s + m - 1 = 0.03 never converges to the
+    # reduced path's tolerance; the error names the difference it stopped at
+    with pytest.raises(ConvergenceError) as err:
+        verify(IntegrandSpec(2, "symmetric", (1.3,), 1.0, -0.97))
+    partial = err.value.result
+    assert partial.abs_err > 0.0
+    assert f"diff={partial.abs_err:.3e} " in str(err.value)
+
+
+def _outcome(evaluate, reduced, tol) -> str:
+    try:
+        return repr(evaluate(reduced, tol))
+    except (ConvergenceError, DomainError, EvaluationError) as exc:
+        return f"{type(exc).__name__}: {exc}; {getattr(exc, 'result', None)!r}"
+
+
+def _stop_level(result) -> int:
+    ends = list(itertools.accumulate(len(_level_nodes(level).t) for level in range(13)))
+    return ends.index(result.nodes)
+
+
+def _sweep_specs(seed: int, draws: int):
+    """Seeded specs of the four families, m = 2-6, z in the disk, at +-1, at 0.5i and at 0."""
+    rng = random.Random(seed)
+    for family, m, _ in itertools.product(FAMILIES, range(2, 7), range(draws)):
+        disk = complex(*(rng.uniform(-0.6, 0.6) for _ in range(2)))
+        for z in (disk, 1.0, -1.0, 0.5j, 0.0):
+            count = {"distinct-exponents": m, "f-kernel": 2}.get(family, 1)
+            exponents = tuple(rng.uniform(0.4, 3.0) for _ in range(count))
+            s = rng.uniform(-0.5, 2.0) if z == 1.0 else rng.uniform(-0.9, 2.0)
+            try:
+                yield reduce(IntegrandSpec(m, family, exponents, z, s))
+            except (DomainError, DegeneracyError):
+                continue
+
+
+class TestBatchedLevelsMatchPerLevel:
+    """reduced_eval gives the per-level oracle's value, abs_err and nodes bit for bit."""
+
+    def test_family_sweep(self):
+        # a one-ulp change in one level's series products shows in about 3% of
+        # these sums, so the sweep takes a few hundred of them
+        seen = 0
+        for reduced in _sweep_specs(7, draws=4):
+            for tol in (1e-8, 1e-12):
+                want = _outcome(reduced_eval_per_level, reduced, tol)
+                assert _outcome(reduced_eval, reduced, tol) == want, reduced
+            seen += 1
+        assert seen >= 300
+
+    def test_taylor_coefficients(self):
+        # the Taylor setup against the part-by-part loop, on seeded parts that
+        # include zero and non-finite coefficients and exponent gaps
+        rng = random.Random(11)
+        coeffs = [0.0, -0.0, 0j, 1.0, -2.5, 1 + 1j, 0.3 - 2j, 1e300, float("inf"), float("nan")]
+        gaps = [0j, 0.0, 1.5, 0.5 + 0.2j, -3.0, 2.7 - 0.4j, 1e-300, float("inf")]
+        for _ in range(5000):
+            parts = [(rng.choice(coeffs), rng.choice(gaps), rng.choice((0, 0, 1, 2, 3)))
+                     for _ in range(rng.randint(1, 5))]
+            cut = rng.choice((_NEAR_CUT, 0.1, 1e-3))
+            got, want = _taylor(parts, cut), _taylor_per_part(parts, cut)
+            # a float and the complex with the same parts and +0 imaginary part
+            # give the same series rows
+            assert got[0] == want[0]
+            assert repr([(a.real, a.imag) for a in got[1]]) == repr([(a.real, a.imag) for a in want[1]])
+
+    @pytest.mark.parametrize("terms", [
+        # j = 0: summed term by term at every node
+        (KernelTerm(0.7, 1.3, 0.5, 0.4),),
+        # |d| = 5.5 > 4: the series cut moves below _NEAR_CUT
+        (KernelTerm(1.0, 1.0, 1.0, -0.5), KernelTerm(-1.0, 6.5, 1.0, -0.5)),
+        # complex series coefficients
+        (KernelTerm(1 + 0.5j, 1.2 + 0.3j, 0.5, 0.5j), KernelTerm(-1 - 0.5j, 2.0, 0.5, 0.5j)),
+        # a group that cancels to None beside one that does not
+        (KernelTerm(1.0, 1.5, 0.5, 0.3), KernelTerm(-1.0, 1.5, 0.5, 0.3),
+         KernelTerm(0.3, 2.0, 0.25, 0.3)),
+        # groups of different z, summed in term order
+        (KernelTerm(1.0, 1.0, 1.0, 1.0), KernelTerm(-1.0, 2.0, 1.0, 1.0), KernelTerm(0.5, 1.5, 0.0, -0.8)),
+        (KernelTerm(1.0, 1.0, 0.5, 0.3), KernelTerm(0.7, 1.2, 0.5, -0.4),
+         KernelTerm(-0.9, 0.8, 0.5, 0.6j), KernelTerm(0.4, 2.5, 1.25, 0.3)),
+        (KernelTerm(2.0, 0.7, 0.0, -1.0), KernelTerm(-1.1, 1.9, 0.75, 0.2 - 0.3j),
+         KernelTerm(0.3, 1.4, 1.0, 0.8)),
+        # non-finite coefficients raise at level 0 on both sides
+        (KernelTerm(float("inf"), 1.0, 0.5, 0.3),),
+        (KernelTerm(float("nan"), 1.0, 0.5, 0.3), KernelTerm(1.0, 2.0, 0.5, 0.3)),
+    ])
+    def test_group_shapes(self, terms):
+        with np.errstate(invalid="ignore", over="ignore"):  # the non-finite cases
+            for tol in (1e-6, 1e-12):
+                got = _outcome(reduced_eval, terms, tol)
+                assert got == _outcome(reduced_eval_per_level, terms, tol)
+
+    def test_stop_levels_2_to_6(self):
+        cases = [
+            ((KernelTerm(1.0, 1.0, 0.0, 0.0),), 1e-3),
+            ((KernelTerm(1.0, 1.0, 0.5, 0.5),), 1e-6),
+            ((KernelTerm(1.0, 1.0, 0.5, 0.5),), 1e-12),
+            ((KernelTerm(1.0, 1.0, 0.5, 0.999),), 1e-13),
+            ((KernelTerm(1.0, 1.0, 0.5, 0.99999),), 1e-14),
+        ]
+        levels = []
+        for terms, tol in cases:
+            got, want = reduced_eval(terms, tol), reduced_eval_per_level(terms, tol)
+            assert repr(got) == repr(want)
+            levels.append(_stop_level(got))
+        assert levels == [2, 3, 4, 5, 6]
+
+    def test_level_cap_partial_results_match(self):
+        reduced = reduce(IntegrandSpec(2, "symmetric", (1.3,), 1.0, -0.97))
+        with pytest.raises(ConvergenceError) as got:
+            reduced_eval(reduced, 1e-11)
+        with pytest.raises(ConvergenceError) as want:
+            reduced_eval_per_level(reduced, 1e-11)
+        assert str(got.value) == str(want.value)
+        assert repr(got.value.result) == repr(want.value.result)
+        assert got.value.result.abs_err > 0.0

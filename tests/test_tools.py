@@ -42,3 +42,17 @@ def test_same_numbers_finds_a_one_ulp_change_in_a_gamma_coefficient(tmp_path):
     rhs_row = next(line.split() for line in lines if line.startswith("verify.rhs.re "))
     assert int(rhs_row[2]) > 0
     assert 0.0 < float(rhs_row[3]) < 1e-12  # one ulp of a coefficient moves the closed form by ulps
+
+
+def test_ab_layer_times_a_tree_against_itself():
+    cmd = [sys.executable, os.path.join(ROOT, "tools", "ab_layer.py"), SRC, SRC,
+           "--workload", "verify-reduced", "--seed", "1", "--ops", "20",
+           "--function", "quad1d.reduced_eval", "--rounds", "2"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    calls = int(lines[0].split()[1])
+    assert calls > 0 and "20 verify-reduced operations" in lines[0]
+    assert lines[1].startswith("old ") and lines[2].startswith("new ")
+    assert lines[3].startswith("ratio new/old  median ")
+    assert lines[-1] == "results identical"
