@@ -33,25 +33,11 @@ from .identities import jsonable, verify
 from .lerch import LerchArgs, phi
 from .qmc import PASS_SIGMA, QmcOptions, sigma_gap
 from .quad1d import KernelTerm, reduced_eval
-from .simplex import (
-    FAMILY_DISTINCT,
-    FAMILY_F_KERNEL,
-    FAMILY_SYMMETRIC,
-    FAMILY_THEOREM4,
-    FAMILIES,
-    IntegrandSpec,
-    ReducedIntegrand,
-    reduce,
-)
+from .simplex import FAMILIES, IntegrandSpec, ReducedIntegrand, reduce
 
 SEED_ENV_VAR = "LERCHINT_SEED"
 
-_THEOREM_TO_FAMILY = {
-    "t3-pair": FAMILY_F_KERNEL,
-    "t3-sym": FAMILY_SYMMETRIC,
-    "t4": FAMILY_THEOREM4,
-    "t5": FAMILY_DISTINCT,
-}
+_THEOREM_TO_FAMILY = {rules.theorem: name for name, rules in FAMILIES.items()}
 
 _MAX_US = 20
 
@@ -208,20 +194,13 @@ def _cmd_constants(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _spec_from_json(doc) -> IntegrandSpec:
     try:
-        m = doc["m"]
-        fields = dict(
-            family=str(doc["family"]),
-            exponents=tuple(_cplx_in(e) for e in doc["exponents"]),
-            z=_cplx_in(doc["z"]),
-            s=_cplx_in(doc["s"]),
-        )
+        m, family, exps = doc["m"], str(doc["family"]), tuple(_cplx_in(e) for e in doc["exponents"])
+        z, s = _cplx_in(doc["z"]), _cplx_in(doc["s"])
     except KeyError as exc:
         raise DomainError(f"spec file missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DomainError(f"malformed spec file: {exc}") from exc
-    if type(m) is not int:  # a JSON integer only: no float, string or bool
-        raise DomainError(f"malformed spec file: m must be an integer, got {m!r}")
-    return IntegrandSpec(m=m, **fields)
+    return IntegrandSpec(m, family, exps, z, s)
 
 
 def reduced_to_json_dict(reduced: ReducedIntegrand) -> dict:

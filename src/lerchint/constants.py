@@ -33,7 +33,7 @@ from .identities import build_integrand, jsonable
 from .qmc import QmcOptions
 from .quad1d import reduced_eval
 from .quad1d import tanh_sinh  # noqa: F401  (bench/spans.py wraps this attribute)
-from .simplex import FAMILY_THEOREM4, IntegrandSpec, reduce
+from .simplex import FAMILIES, FAMILY_THEOREM4, IntegrandSpec, reduce
 
 NAME_EULER_GAMMA = "euler-gamma"
 NAME_LN_4_OVER_PI = "ln-4-over-pi"
@@ -90,7 +90,7 @@ def _constant(
         opts = opts or QmcOptions()
         f = theorem4_corner_integrand(m, z)
         q = qmc_mod.qmc_estimate(f, m, opts.points, opts.replicates, opts.seed, opts.threads)
-        fact = math.factorial(m - 2)
+        fact = math.factorial(FAMILIES[FAMILY_THEOREM4].factorial_order(m))
         return ConstantResult(name, m, method, fact * q.estimate.real, fact * q.std_err, reference)
     raise DomainError(f"unknown method {method!r}")
 

@@ -186,14 +186,12 @@ def rhs_theorem5(us, z: complex, s: complex, tol: float = _DEFAULT_PHI_TOL) -> c
     return ClosedForm(terms=tuple(terms)).value(tol)
 
 
-def _rhs_for(spec: IntegrandSpec) -> complex:
-    if spec.family == FAMILY_SYMMETRIC:
-        return rhs_theorem3_symmetric(spec.m, spec.z, spec.s, spec.u)
-    if spec.family == FAMILY_F_KERNEL:
-        return rhs_theorem3_pair(spec.m, spec.z, spec.s, spec.exponents[0], spec.exponents[1])
-    if spec.family == FAMILY_THEOREM4:
-        return rhs_theorem4(spec.m, spec.z, spec.s, spec.u)
-    return rhs_theorem5(spec.exponents, spec.z, spec.s)
+_RHS = {  # family name -> its closed form at a spec
+    FAMILY_DISTINCT: lambda spec: rhs_theorem5(spec.exponents, spec.z, spec.s),
+    FAMILY_SYMMETRIC: lambda spec: rhs_theorem3_symmetric(spec.m, spec.z, spec.s, spec.u),
+    FAMILY_F_KERNEL: lambda spec: rhs_theorem3_pair(spec.m, spec.z, spec.s, *spec.exponents),
+    FAMILY_THEOREM4: lambda spec: rhs_theorem4(spec.m, spec.z, spec.s, spec.u),
+}
 
 
 def build_integrand(spec: IntegrandSpec):
@@ -221,13 +219,8 @@ def build_integrand(spec: IntegrandSpec):
     exps = spec.exponents
     if all(e.imag == 0.0 for e in exps):
         exps = tuple(e.real for e in exps)
-    if spec.family == FAMILY_DISTINCT:
-        weights = np.array(exps) - 1.0
-    elif spec.family == FAMILY_F_KERNEL:
-        u, v = exps
-        power = v - 1.0
-    else:
-        power = exps[0] - 1.0
+    power, partial = spec.rules.numerator(*exps)
+    per_coordinate = np.ndim(power) == 1
 
     def f(pts):
         x = np.asarray(pts, dtype=float)
@@ -237,22 +230,19 @@ def build_integrand(spec: IntegrandSpec):
         if x.shape[1] != m:
             raise DomainError(f"points have dimension {x.shape[1]}, spec has m={m}")
         lcum = np.log(x)
-        if spec.family == FAMILY_DISTINCT:
-            expo = lcum @ weights.real
-            if np.iscomplexobj(weights):
-                expo = expo + 1j * (lcum @ weights.imag)
+        if per_coordinate:
+            expo = lcum @ power.real
+            if np.iscomplexobj(power):
+                expo = expo + 1j * (lcum @ power.imag)
         for j in range(1, m):  # lcum becomes the running sums of the logs
             lcum[:, j] += lcum[:, j - 1]
         ltot = lcum[:, -1]
-        if spec.family != FAMILY_DISTINCT:
+        if not per_coordinate:
             expo = power * ltot
         expo = expo + s * np.log(-ltot)
         num = np.exp(expo)  # complex exactly when s or the exponents are
-        # the kernel sums run over the m - 1 proper partial products, column by column
-        if spec.family == FAMILY_F_KERNEL:
-            num *= sum(np.exp((u - v) * lcum[:, j]) for j in range(m - 1))
-        elif spec.family == FAMILY_THEOREM4:  # m-1 - x1 - x1x2 - ... = sum(1 - partial products)
-            num *= -sum(np.expm1(lcum[:, j]) for j in range(m - 1))
+        if partial is not None:  # a sum over the m - 1 proper partial products
+            num *= partial(lcum[:, j] for j in range(m - 1))
         den = -np.expm1(ltot) if z_one else 1.0 - z * np.exp(ltot)
         vals = num / den
         return vals[0] if single else vals
@@ -308,7 +298,7 @@ def _qmc_admissible(spec: IntegrandSpec) -> str | None:
 
 def verify(spec: IntegrandSpec, tol: float = 1e-8, qmc: QmcOptions | None = None) -> VerificationReport:
     """Check one identity instance; see the module docstring for the protocol."""
-    rhs = _rhs_for(spec)
+    rhs = _RHS[spec.family](spec)
     lhs = reduced_eval(reduce(spec), _quad_tol(tol))
     abs_gap, rel_gap = _gaps(rhs, lhs.value)
 
@@ -325,7 +315,7 @@ def verify(spec: IntegrandSpec, tol: float = 1e-8, qmc: QmcOptions | None = None
             sigma_gap = qmc_mod.sigma_gap(lhs_qmc.estimate, lhs_qmc.std_err, rhs)
 
     passed = bool(rel_gap <= tol) and (lhs_qmc is None or sigma_gap <= qmc_mod.PASS_SIGMA)
-    flagged = spec.family == FAMILY_F_KERNEL and _cancels(*spec.exponents)
+    flagged = spec.rules.difference_quotient and _cancels(*spec.exponents)
     return VerificationReport(
         spec=spec,
         rhs=rhs,
@@ -372,7 +362,8 @@ def verify_dimension_lift(m: int, spec2: IntegrandSpec, tol: float = 1e-8) -> Ve
     """
     if spec2.m != 2:
         raise DomainError(f"base spec must have m=2, got {spec2.m}")
-    if spec2.family == FAMILY_DISTINCT:
+    order = spec2.rules.factorial_order
+    if order is None:
         raise DomainError("dimension lift applies to the single-u and (u,v) families")
     if m < 2:
         raise DomainError("need m >= 2")
@@ -384,7 +375,7 @@ def verify_dimension_lift(m: int, spec2: IntegrandSpec, tol: float = 1e-8) -> Ve
         z=spec2.z,
         s=spec2.s - m + 2,
     )
-    fact = math.factorial(m - 1 if spec2.family == FAMILY_SYMMETRIC else m - 2)
+    fact = math.factorial(order(m))
     side2 = reduced_eval(reduce(spec2), _quad_tol(tol))
     side_m = reduced_eval(reduce(lifted), _quad_tol(tol))
     lhs = QuadResult(fact * side_m.value, fact * side_m.abs_err, side_m.nodes)

@@ -24,6 +24,7 @@ budget, or when the rounding allowance alone exceeds the tolerance.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ _STOP_MARGIN = 8  # terms tested before the predicted stop, against rounding in 
 
 @dataclass(frozen=True)
 class LerchArgs:
-    """The parameter triple (z, s, u), validated on construction."""
+    """The parameter triple (z, s, u), validated on construction: each is finite."""
 
     z: complex
     s: complex
@@ -58,6 +59,8 @@ class LerchArgs:
         object.__setattr__(self, "z", complex(self.z))
         object.__setattr__(self, "s", complex(self.s))
         object.__setattr__(self, "u", complex(self.u))
+        if not (cmath.isfinite(self.z) and cmath.isfinite(self.s) and cmath.isfinite(self.u)):
+            raise DomainError(f"need finite z, s and u, got (z={self.z}, s={self.s}, u={self.u})")
         if self.u.real <= 0.0:
             raise DomainError(f"need Re u > 0, got u={self.u}")
         if is_one(self.z) and self.s.real <= 1.0:

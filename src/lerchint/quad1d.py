@@ -33,6 +33,7 @@ tolerance; exponents smaller than that are outside the intended domain.
 
 from __future__ import annotations
 
+import cmath
 import inspect
 import math
 import threading
@@ -76,7 +77,7 @@ class QuadResult:
 class KernelTerm:
     """One weighted kernel c * t^(w-1) (-ln t)^p / (1 - z t) on (0,1).
 
-    Integrability at t = 1 belongs to the whole sum: ``reduced_eval`` checks it.
+    Every field is finite; integrability at t = 1 belongs to the whole sum, checked by reduced_eval.
     """
 
     coeff: complex
@@ -85,6 +86,8 @@ class KernelTerm:
     z: complex
 
     def __post_init__(self) -> None:
+        if not all(map(cmath.isfinite, (self.coeff, self.w, self.p, self.z))):
+            raise DomainError(f"kernel needs finite coeff, w, p and z, got {self}")
         if complex(self.w).real <= 0.0:
             raise DomainError(f"kernel needs Re w > 0 for integrability at 0, got w={self.w}")
         if beyond_one(self.z):

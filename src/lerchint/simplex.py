@@ -9,15 +9,20 @@ products t_k = x1 x2 ... x_k turns the inner (m-1)-fold integral into one
 over the ordered simplex 1 >= t_1 >= ... >= t_{m-1} >= t_m, where it has
 an elementary closed form in t = t_m.
 
-``reduce`` writes that closed form for each integrand family and returns
-the exact equivalent 1-D combination of kernels
+``reduce`` writes that closed form from the family's record in ``FAMILIES``,
+which holds every per-family rule, and returns the exact equivalent 1-D sum of kernels
 c * t^(w-1) (-ln t)^p / (1-z t).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from .errors import DegeneracyError, DomainError
 from .quad1d import KernelTerm, beyond_one, is_one
@@ -26,8 +31,6 @@ FAMILY_DISTINCT = "distinct-exponents"
 FAMILY_SYMMETRIC = "symmetric"
 FAMILY_F_KERNEL = "f-kernel"
 FAMILY_THEOREM4 = "theorem4-kernel"
-
-FAMILIES = (FAMILY_DISTINCT, FAMILY_SYMMETRIC, FAMILY_F_KERNEL, FAMILY_THEOREM4)
 
 _SEPARATION = 1e-6
 _MAX_EXACT_FACTORIAL = 20
@@ -49,13 +52,51 @@ def _check_distinct(us: tuple) -> None:
                 )
 
 
-def _s_lower_bound(family: str, m: int, z_is_one: bool) -> float:
-    if family == FAMILY_DISTINCT:
-        return 0.0 if z_is_one else -1.0
-    if family == FAMILY_THEOREM4:
-        return float(-m) if z_is_one else float(-m - 1)
-    # symmetric and f-kernel share the same admissible strip
-    return float(1 - m) if z_is_one else float(-m)
+@dataclass(frozen=True)
+class Family:
+    """Every rule that differs between integrand families; a new one is a field here.
+
+    A reduction carries 1/k! from the simplex volumes, k = factorial_order(m), and k! times
+    the m-dimensional integral lifts the m = 2 one (None: neither).  ``numerator`` gives
+    ``build_integrand`` the power of prod(x) (an array: one per coordinate) and None or a
+    function of the columns ln(x1...x_j), j < m, whose value multiplies prod(x)^power.
+    """
+
+    theorem: str  # the CLI's --theorem alias
+    exponent_names: tuple | None  # None: one exponent u_i per dimension
+    min_m: int
+    s_floor: Callable[[int], int]  # Re s > s_floor(m) at z = 1; elsewhere one unit lower
+    factorial_order: Callable[[int], int] | None
+    kernels: Callable  # (pref, m, z, s, *exponents) -> the reduction's KernelTerms
+    numerator: Callable
+    distinct: bool = False  # exponents must lie _SEPARATION apart
+    difference_quotient: bool = False  # the closed form divides by u - v: verify flags cancellation
+
+
+FAMILIES = {  # name -> record, in the order the seeded test sweeps draw from
+    FAMILY_DISTINCT: Family(
+        "t5", None, min_m=1, s_floor=lambda m: 0, factorial_order=None, distinct=True,
+        kernels=lambda pref, m, z, s, *us: tuple(
+            KernelTerm(pref / _lagrange_denominator(us, i), ui, s, z) for i, ui in enumerate(us)),
+        numerator=lambda *us: (np.array(us) - 1.0, None)),
+    FAMILY_SYMMETRIC: Family(
+        "t3-sym", ("u",), min_m=1, s_floor=lambda m: 1 - m, factorial_order=lambda m: m - 1,
+        kernels=lambda pref, m, z, s, u: (KernelTerm(pref, u, s + m - 1, z),),
+        numerator=lambda u: (u - 1.0, None)),
+    FAMILY_F_KERNEL: Family(
+        "t3-pair", ("u", "v"), min_m=2, s_floor=lambda m: 1 - m, factorial_order=lambda m: m - 2,
+        distinct=True, difference_quotient=True,
+        kernels=lambda pref, m, z, s, u, v: (
+            KernelTerm(c := pref / (u - v), v, s + m - 2, z), KernelTerm(-c, u, s + m - 2, z)),
+        numerator=lambda u, v: (v - 1.0, lambda cols: sum(np.exp((u - v) * col) for col in cols))),
+    # theorem4's numerator m-1 - x1 - x1x2 - ... is the sum of 1 - (partial products)
+    FAMILY_THEOREM4: Family(
+        "t4", ("u",), min_m=2, s_floor=lambda m: -m, factorial_order=lambda m: m - 2,
+        kernels=lambda pref, m, z, s, u: (KernelTerm(pref, u, s + m - 1, z),
+                                          KernelTerm(-pref, u, s + m - 2, z),
+                                          KernelTerm(pref, u + 1, s + m - 2, z)),
+        numerator=lambda u: (u - 1.0, lambda cols: -sum(np.expm1(col) for col in cols))),
+}
 
 
 @dataclass(frozen=True)
@@ -64,7 +105,8 @@ class IntegrandSpec:
 
     ``exponents`` semantics depend on the family: the m distinct exponents
     (u_1..u_m) for ``distinct-exponents``, the single u for ``symmetric``
-    and ``theorem4-kernel``, and the pair (u, v) for ``f-kernel``.
+    and ``theorem4-kernel``, and the pair (u, v) for ``f-kernel``.  m is
+    an integer, and z, s and every exponent are finite.
     """
 
     m: int
@@ -74,36 +116,37 @@ class IntegrandSpec:
     s: complex
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        rules = FAMILIES.get(self.family) if isinstance(self.family, str) else None
+        if rules is None:
             raise DomainError(f"unknown integrand family {self.family!r}")
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
+            raise DomainError(f"dimension m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise DomainError("dimension m must be >= 1")
         exps = tuple(complex(e) for e in self.exponents)
+        object.__setattr__(self, "m", int(self.m))  # json cannot write a numpy integer
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "z", complex(self.z))
         object.__setattr__(self, "s", complex(self.s))
+        if not all(map(cmath.isfinite, (self.z, self.s) + exps)):
+            raise DomainError(f"need finite z, s and exponents, got z={self.z}, s={self.s}, {exps}")
 
-        expected = {
-            FAMILY_DISTINCT: self.m,
-            FAMILY_SYMMETRIC: 1,
-            FAMILY_F_KERNEL: 2,
-            FAMILY_THEOREM4: 1,
-        }[self.family]
+        expected = self.m if rules.exponent_names is None else len(rules.exponent_names)
         if len(exps) != expected:
             raise DomainError(
                 f"family {self.family!r} with m={self.m} takes {expected} exponent(s), got {len(exps)}"
             )
         if any(e.real <= 0.0 for e in exps):
             raise DomainError(f"all exponents need positive real part, got {exps}")
-        if self.family in (FAMILY_F_KERNEL, FAMILY_THEOREM4) and self.m < 2:
-            raise DomainError(f"family {self.family!r} needs m > 1")
-        if self.family in (FAMILY_DISTINCT, FAMILY_F_KERNEL):
+        if self.m < rules.min_m:
+            raise DomainError(f"family {self.family!r} needs m > {rules.min_m - 1}")
+        if rules.distinct:
             _check_distinct(exps)
 
         if beyond_one(self.z):
             raise DomainError(f"z={self.z} lies on the real ray beyond 1")
         z_is_one = is_one(self.z)
-        bound = _s_lower_bound(self.family, self.m, z_is_one)
+        bound = float(rules.s_floor(self.m) - (not z_is_one))
         if not self.s.real > bound:
             raise DomainError(
                 f"family {self.family!r} with m={self.m}, z={'1' if z_is_one else self.z} "
@@ -111,12 +154,17 @@ class IntegrandSpec:
             )
 
     @property
+    def rules(self) -> Family:
+        """The family's record in ``FAMILIES``."""
+        return FAMILIES[self.family]
+
+    @property
     def u(self) -> complex:
         return self.exponents[0]
 
     @property
     def v(self) -> complex:
-        if self.family != FAMILY_F_KERNEL:
+        if "v" not in (self.rules.exponent_names or ()):
             raise AttributeError("v is only defined for the f-kernel family")
         return self.exponents[1]
 
@@ -159,30 +207,6 @@ def reduce(spec: IntegrandSpec) -> ReducedIntegrand:
     Over the whole admissible s strip the terms sum to an integrable
     function, even where some of them diverge at t = 1 on their own.
     """
-    m, z, s = spec.m, spec.z, spec.s
-    if spec.family == FAMILY_SYMMETRIC:
-        pref = 1.0 / _exact_factorial(m - 1)
-        terms = (KernelTerm(pref, spec.u, s + m - 1, z),)
-    elif spec.family == FAMILY_F_KERNEL:
-        u, v = spec.exponents
-        pref = 1.0 / _exact_factorial(m - 2)
-        c = pref / (u - v)
-        terms = (
-            KernelTerm(c, v, s + m - 2, z),
-            KernelTerm(-c, u, s + m - 2, z),
-        )
-    elif spec.family == FAMILY_THEOREM4:
-        u = spec.u
-        pref = 1.0 / _exact_factorial(m - 2)
-        terms = (
-            KernelTerm(pref, u, s + m - 1, z),
-            KernelTerm(-pref, u, s + m - 2, z),
-            KernelTerm(pref, u + 1, s + m - 2, z),
-        )
-    else:  # distinct exponents
-        pref = 1.0
-        us = spec.exponents
-        terms = tuple(
-            KernelTerm(1.0 / _lagrange_denominator(us, i), ui, s, z) for i, ui in enumerate(us)
-        )
-    return ReducedIntegrand(terms=terms, prefactor=pref)
+    order = spec.rules.factorial_order
+    pref = 1.0 if order is None else 1.0 / _exact_factorial(order(spec.m))
+    return ReducedIntegrand(spec.rules.kernels(pref, spec.m, spec.z, spec.s, *spec.exponents), pref)

@@ -239,6 +239,18 @@ class TestReduceCommand:
         assert code == 2
         assert out["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize("field, value", [("s", math.inf), ("z", math.nan), ("exponents", [math.inf])])
+    def test_non_finite_spec_file_exit_2(self, capsys, tmp_path, field, value):
+        # json reads NaN and Infinity; an infinite s used to end in a ValueError
+        # traceback and exit 1, the code for "outside tolerance"
+        doc = {"m": 2, "family": "symmetric", "exponents": [1.3], "z": 0.5, "s": 1}
+        doc[field] = value
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, ["reduce", "--spec", str(path), "--evaluate"])
+        assert code == 2
+        assert out["error"]["type"] == "DomainError"
+
     def test_degenerate_exit_2(self, capsys):
         code, doc = run_json(
             capsys,

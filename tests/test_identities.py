@@ -16,6 +16,8 @@ from lerchint import (
     build_integrand,
     hurwitz_zeta,
     phi,
+    reduce,
+    reduced_eval,
     rhs_theorem3_pair,
     rhs_theorem3_symmetric,
     rhs_theorem4,
@@ -24,6 +26,7 @@ from lerchint import (
     verify_batch,
     verify_dimension_lift,
 )
+from lerchint.identities import _quad_tol
 
 
 class TestRhsValues:
@@ -347,3 +350,21 @@ class TestDimensionLift:
         base = IntegrandSpec(m=3, family="symmetric", exponents=(1.5,), z=0.5, s=1.0)
         with pytest.raises(DomainError):
             verify_dimension_lift(4, base)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("family, exps, drop", [
+        ("symmetric", (1.5,), 1), ("f-kernel", (2.2, 1.1), 2), ("theorem4-kernel", (1.3,), 2),
+    ])
+    def test_lift_factorial_undoes_reduce_prefactor(self, family, exps, drop, m):
+        # the lift multiplies by (m-1)! or (m-2)!, the inverse of reduce's simplex volume
+        rep = verify_dimension_lift(m, IntegrandSpec(2, family, exps, 0.5, 3.0))
+        fact = math.factorial(m - drop)
+        assert reduce(rep.spec).prefactor * fact == 1.0
+        side_m = reduced_eval(reduce(rep.spec), _quad_tol(rep.tol))
+        assert rep.lhs_reduced.value == fact * side_m.value
+
+    def test_distinct_family_has_no_lift(self):
+        base = IntegrandSpec(2, "distinct-exponents", (1.0, 2.0), 0.5, 1.0)
+        with pytest.raises(DomainError) as exc:
+            verify_dimension_lift(3, base)
+        assert str(exc.value) == "dimension lift applies to the single-u and (u,v) families"

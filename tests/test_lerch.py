@@ -39,6 +39,16 @@ class TestArgsValidation:
         with pytest.raises(DomainError):
             LerchArgs(7.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("args", [
+        (0.5, 2.0, math.inf),  # used to run the whole 2M-term budget, about 5 s
+        (math.nan, 2.0, 1.0),  # used to suggest the quadrature fallback
+        (0.5, complex(2.0, math.nan), 1.0),
+        (complex(0.5, -math.inf), 2.0, 1.0),
+    ])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(DomainError, match="finite"):
+            LerchArgs(*args)
+
     def test_z_one_needs_re_s_above_one(self):
         with pytest.raises(DomainError):
             LerchArgs(1.0, 0.5, 1.0)

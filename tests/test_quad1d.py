@@ -297,15 +297,21 @@ class TestBatchedLevelsMatchPerLevel:
          KernelTerm(-0.9, 0.8, 0.5, 0.6j), KernelTerm(0.4, 2.5, 1.25, 0.3)),
         (KernelTerm(2.0, 0.7, 0.0, -1.0), KernelTerm(-1.1, 1.9, 0.75, 0.2 - 0.3j),
          KernelTerm(0.3, 1.4, 1.0, 0.8)),
-        # non-finite coefficients raise at level 0 on both sides
-        (KernelTerm(float("inf"), 1.0, 0.5, 0.3),),
-        (KernelTerm(float("nan"), 1.0, 0.5, 0.3), KernelTerm(1.0, 2.0, 0.5, 0.3)),
     ])
     def test_group_shapes(self, terms):
-        with np.errstate(invalid="ignore", over="ignore"):  # the non-finite cases
-            for tol in (1e-6, 1e-12):
-                got = _outcome(reduced_eval, terms, tol)
-                assert got == _outcome(reduced_eval_per_level, terms, tol)
+        for tol in (1e-6, 1e-12):
+            got = _outcome(reduced_eval, terms, tol)
+            assert got == _outcome(reduced_eval_per_level, terms, tol)
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(1.0, math.nan)])
+    def test_non_finite_kernel_term_rejected(self, field, bad):
+        # a non-finite field used to reach the quadrature (numpy warnings, then
+        # EvaluationError) or run _taylor through every order; it stops here
+        fields = [0.7, 1.3, 0.5, 0.4]
+        fields[field] = bad
+        with pytest.raises(DomainError, match="finite"):
+            KernelTerm(*fields)
 
     def test_stop_levels_2_to_6(self):
         cases = [

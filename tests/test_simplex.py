@@ -1,5 +1,7 @@
 """Simplex closed forms vs the nested-quadrature oracle, plus reductions."""
 
+import ast
+import itertools
 import math
 import os
 import pathlib
@@ -166,10 +168,37 @@ def test_runtime_source_never_mentions_test_only_libraries():
             assert name not in text, f"{path.relative_to(pkg)} mentions {name}"
 
 
+def test_family_rules_live_in_the_family_table():
+    # every per-family rule is a field of simplex.Family; a comparison with a
+    # family name anywhere else would start a second copy of one (a test that
+    # a family was given at all, "is None", decides no rule)
+    pkg = pathlib.Path(lerchint.__file__).parent
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare) or all(
+                    isinstance(c, ast.Constant) and c.value is None for c in node.comparators):
+                continue
+            for sub in ast.walk(node):
+                name = sub.attr if isinstance(sub, ast.Attribute) else getattr(sub, "id", "")
+                literal = isinstance(sub, ast.Constant) and sub.value in lerchint.FAMILIES
+                assert name != "family" and not name.startswith("FAMILY_") and not literal, (
+                    f"{path.name}:{node.lineno} compares with an integrand family")
+
+
+def test_family_table_order_and_closed_forms():
+    # the seeded sweeps of test_quad1d draw their specs in this order, and
+    # every family has one closed form
+    from lerchint.identities import _RHS
+
+    assert list(lerchint.FAMILIES) == ["distinct-exponents", "symmetric", "f-kernel", "theorem4-kernel"]
+    assert list(_RHS) == list(lerchint.FAMILIES)
+
+
 class TestIntegrandSpecValidation:
     def test_family_name(self):
-        with pytest.raises(DomainError):
-            IntegrandSpec(m=2, family="nope", exponents=(1.0,), z=0.0, s=1.0)
+        for family in ("nope", ["symmetric"]):
+            with pytest.raises(DomainError, match="unknown integrand family"):
+                IntegrandSpec(m=2, family=family, exponents=(1.0,), z=0.0, s=1.0)
 
     def test_exponent_count(self):
         with pytest.raises(DomainError):
@@ -196,24 +225,68 @@ class TestIntegrandSpecValidation:
                 m=3, family="distinct-exponents", exponents=(1.0, 2.0, 2.0 + 1e-9), z=0.0, s=1.0
             )
 
+    def test_v_only_for_the_pair(self):
+        assert IntegrandSpec(2, "f-kernel", (2.0, 1.0), 0.5, 1.0).v == 1.0
+        for family, exps in (("symmetric", (1.0,)), ("distinct-exponents", (1.0, 2.0))):
+            with pytest.raises(AttributeError, match="f-kernel"):
+                IntegrandSpec(2, family, exps, 0.5, 1.0).v
+
     def test_ray_rejected(self):
         with pytest.raises(DomainError):
             IntegrandSpec(m=2, family="symmetric", exponents=(1.0,), z=1.5, s=1.0)
 
+    @pytest.mark.parametrize("field", ["z", "s", "exponents"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.5, math.inf)])
+    def test_non_finite_rejected(self, field, bad):
+        # an infinite exponent used to run verify for seconds, through the whole
+        # series budget, before it failed
+        args = dict(m=2, family="distinct-exponents", exponents=(1.0, 2.0), z=0.5, s=1.0)
+        args[field] = (1.0, bad) if field == "exponents" else bad
+        with pytest.raises(DomainError, match="finite"):
+            IntegrandSpec(**args)
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, "x", None])
+    def test_m_must_be_an_integer(self, m):
+        # 2.5 used to be accepted and fail later with a TypeError; True verified as m = 1
+        with pytest.raises(DomainError, match="integer"):
+            IntegrandSpec(m=m, family="symmetric", exponents=(1.0,), z=0.5, s=1.0)
+        assert type(IntegrandSpec(m=np.int64(2), family="symmetric", exponents=(1.0,), z=0.5, s=1.0).m) is int
+
     def test_s_thresholds(self):
-        # symmetric: Re s > -m (z != 1), > 1-m (z = 1)
-        IntegrandSpec(m=2, family="symmetric", exponents=(1.0,), z=0.5, s=-1.9)
-        with pytest.raises(DomainError):
-            IntegrandSpec(m=2, family="symmetric", exponents=(1.0,), z=0.5, s=-2.0)
-        with pytest.raises(DomainError):
-            IntegrandSpec(m=2, family="symmetric", exponents=(1.0,), z=1.0, s=-1.0)
-        # distinct: Re s > -1 (z != 1), > 0 (z = 1)
+        # Re s must exceed the family's floor at z = 1 and one less elsewhere;
+        # at the bound the message is exact, 0.05 above it the spec is accepted
+        z1_floor = {"distinct-exponents": lambda m: 0, "symmetric": lambda m: 1 - m,
+                    "f-kernel": lambda m: 1 - m, "theorem4-kernel": lambda m: -m}
+        single = {"symmetric": (1.0,), "f-kernel": (2.0, 1.0), "theorem4-kernel": (1.0,)}
+        for family, floor in z1_floor.items():
+            for m, z in itertools.product((2, 3), (0.5, 1.0, -1.0)):
+                exps = single.get(family, (1.0, 2.0, 3.0)[:m])
+                bound = float(floor(m) - (z != 1.0))
+                with pytest.raises(DomainError) as exc:
+                    IntegrandSpec(m, family, exps, z, bound)
+                assert str(exc.value) == (
+                    f"family {family!r} with m={m}, z={'1' if z == 1.0 else complex(z)} "
+                    f"needs Re s > {bound}, got s={complex(bound)}")
+                IntegrandSpec(m, family, exps, z, bound + 0.05)
         with pytest.raises(DomainError):
             IntegrandSpec(m=1, family="distinct-exponents", exponents=(1.0,), z=0.5, s=-1.0)
         with pytest.raises(DomainError):
             IntegrandSpec(m=1, family="distinct-exponents", exponents=(1.0,), z=1.0, s=0.0)
-        # theorem4: Re s > -m-1 (z != 1), > -m (z = 1)
-        IntegrandSpec(m=2, family="theorem4-kernel", exponents=(1.0,), z=0.5, s=-2.9)
+
+    @pytest.mark.parametrize("m, family, exps, message", [
+        (3, "distinct-exponents", (1.0, 2.0),
+         "family 'distinct-exponents' with m=3 takes 3 exponent(s), got 2"),
+        (2, "symmetric", (1.0, 2.0), "family 'symmetric' with m=2 takes 1 exponent(s), got 2"),
+        (2, "f-kernel", (1.0,), "family 'f-kernel' with m=2 takes 2 exponent(s), got 1"),
+        (3, "theorem4-kernel", (), "family 'theorem4-kernel' with m=3 takes 1 exponent(s), got 0"),
+        (1, "f-kernel", (2.0, 1.0), "family 'f-kernel' needs m > 1"),
+        (1, "theorem4-kernel", (1.0,), "family 'theorem4-kernel' needs m > 1"),
+        (0, "symmetric", (1.0,), "dimension m must be >= 1"),
+    ])
+    def test_count_and_min_m_messages(self, m, family, exps, message):
+        with pytest.raises(DomainError) as exc:
+            IntegrandSpec(m, family, exps, 0.5, 1.0)
+        assert str(exc.value) == message
 
 
 class TestReduce:
