@@ -82,6 +82,17 @@ def _cancels(u: complex, v: complex) -> bool:
     return abs(u - v) < 1e-3
 
 
+def _warn_cancellation(u: complex, v: complex) -> None:
+    """Warn that the quotient over u - v cancels, naming the line that called
+    ``rhs_theorem3_pair`` or ``verify``."""
+    warnings.warn(
+        f"difference quotient at |u-v|={abs(u - v):.2e} loses about "
+        f"{int(-math.log10(abs(u - v)))} digits",
+        CancellationWarning,
+        stacklevel=3,
+    )
+
+
 @dataclass(frozen=True)
 class ClosedForm:
     """Sum of coeff * gamma(gamma_arg) * Phi(phi_args) plus an optional power.
@@ -107,18 +118,24 @@ class ClosedForm:
 def rhs_theorem3_pair(
     m: int, z: complex, s: complex, u: complex, v: complex, tol: float = _DEFAULT_PHI_TOL
 ) -> complex:
-    """gamma(s+m-1)/(m-2)! * (Phi(z,s+m-1,v) - Phi(z,s+m-1,u)) / (u-v)."""
+    """gamma(s+m-1)/(m-2)! * (Phi(z,s+m-1,v) - Phi(z,s+m-1,u)) / (u-v).
+
+    Warns (CancellationWarning) when the quotient loses 3 or more digits.
+    """
+    value = _rhs_theorem3_pair(m, z, s, u, v, tol)
+    if _cancels(u, v):
+        _warn_cancellation(u, v)
+    return value
+
+
+def _rhs_theorem3_pair(
+    m: int, z: complex, s: complex, u: complex, v: complex, tol: float = _DEFAULT_PHI_TOL
+) -> complex:
+    """``rhs_theorem3_pair`` without its warning; ``verify`` warns for its own caller."""
     if m < 2:
         raise DomainError("pair form needs m > 1")
     u, v, z, s = complex(u), complex(v), complex(z), complex(s)
     _check_distinct((u, v))
-    if _cancels(u, v):
-        warnings.warn(
-            f"difference quotient at |u-v|={abs(u - v):.2e} loses about "
-            f"{int(-math.log10(abs(u - v)))} digits",
-            CancellationWarning,
-            stacklevel=2,
-        )
     cf = ClosedForm(
         terms=(
             (1.0 / (math.factorial(m - 2) * (u - v)), s + m - 1, LerchArgs(z, s + m - 1, v)),
@@ -189,7 +206,7 @@ def rhs_theorem5(us, z: complex, s: complex, tol: float = _DEFAULT_PHI_TOL) -> c
 _RHS = {  # family name -> its closed form at a spec
     FAMILY_DISTINCT: lambda spec: rhs_theorem5(spec.exponents, spec.z, spec.s),
     FAMILY_SYMMETRIC: lambda spec: rhs_theorem3_symmetric(spec.m, spec.z, spec.s, spec.u),
-    FAMILY_F_KERNEL: lambda spec: rhs_theorem3_pair(spec.m, spec.z, spec.s, *spec.exponents),
+    FAMILY_F_KERNEL: lambda spec: _rhs_theorem3_pair(spec.m, spec.z, spec.s, *spec.exponents),
     FAMILY_THEOREM4: lambda spec: rhs_theorem4(spec.m, spec.z, spec.s, spec.u),
 }
 
@@ -316,6 +333,8 @@ def verify(spec: IntegrandSpec, tol: float = 1e-8, qmc: QmcOptions | None = None
 
     passed = bool(rel_gap <= tol) and (lhs_qmc is None or sigma_gap <= qmc_mod.PASS_SIGMA)
     flagged = spec.rules.difference_quotient and _cancels(*spec.exponents)
+    if flagged:
+        _warn_cancellation(*spec.exponents)
     return VerificationReport(
         spec=spec,
         rhs=rhs,

@@ -2,9 +2,10 @@
 
 The variable change t = (1 + tanh((pi/2) sinh(v)))/2 pushes both endpoints
 infinitely far away, so trapezoid sums converge fast even for integrands
-with algebraic or logarithmic endpoint singularities.  Node tables are
-cached per refinement level; each node carries its distance to BOTH
-endpoints plus a stably computed -ln(t), because the kernels of interest,
+with algebraic or logarithmic endpoint singularities.  The nodes live in
+one cache of blocks, each the concatenated nodes of a run of consecutive
+refinement levels; each node carries its distance to BOTH endpoints plus a
+stably computed -ln(t), because the kernels of interest,
 
     t^(w-1) (-ln t)^p / (1 - z t),
 
@@ -19,13 +20,13 @@ it is summed from its Taylor series in -ln t, whose cancelling leading
 coefficients are exactly zero; see ``_kernel_group``.
 
 Most such sums converge by level 4, so ``reduced_eval`` evaluates levels
-0-4 in one vectorized pass over a cached block that concatenates their
-nodes, and each later level on its own.  Each level is still summed over
+0-4 in one vectorized pass over the block of their nodes, and each later
+level over a block of one level.  Each level is still summed over
 its own nodes and tested in turn, giving the numbers a level-by-level
 pass gives; ``QuadResult.nodes`` counts only the nodes of the levels the
 result used.
 
-Truncating the node tables where the transformed weight underflows drops
+Truncating the nodes where the transformed weight underflows drops
 an endpoint tail of mass about exp(-736 Re w)/Re w (and similarly in the
 exponent p+1 at t=1), negligible for Re w >= 0.05 at any supported
 tolerance; exponents smaller than that are outside the intended domain.
@@ -34,9 +35,9 @@ tolerance; exponents smaller than that are outside the intended domain.
 from __future__ import annotations
 
 import cmath
+import functools
 import inspect
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -105,28 +106,14 @@ def beyond_one(z: complex) -> bool:
     return z.imag == 0.0 and z.real > 1.0 and not is_one(z)
 
 
-@dataclass(frozen=True)
-class _LevelNodes:
-    """Nodes new to one refinement level (both tails, midpoint only at level 0).
+def _level_arrays(level: int) -> tuple:
+    """t, 1 - t, -ln t, -ln(1 - t) and ln weight at the nodes new to one refinement level.
 
-    Sorted by -ln t, so the ``near`` nodes closest to t = 1 come first.
+    Both tails, the midpoint only at level 0; sorted by -ln t, so the nodes
+    closest to t = 1 come first.  1 - t is computed without cancellation, the
+    z = 1 denominator lives in exp-space as -ln(1 - t), and the weight is the
+    h-free transformed trapezoid weight.
     """
-
-    t: np.ndarray        # abscissa in (0,1)
-    tc: np.ndarray       # 1 - t, computed without cancellation
-    neg_log_t: np.ndarray
-    ln_neg_log_t: np.ndarray  # ln(-ln t)
-    neg_log_tc: np.ndarray  # -ln(1-t); the z=1 denominator lives in exp-space
-    log_weight: np.ndarray  # ln of the h-free transformed trapezoid weight
-    near: int               # nodes with -ln t < _NEAR_CUT
-    near_pows: np.ndarray   # (-ln t)^e at those nodes, e = 0.._SERIES_ORDER
-
-
-_LEVEL_CACHE: list[_LevelNodes] = []
-_LEVEL_CACHE_LOCK = threading.Lock()
-
-
-def _build_level(level: int) -> _LevelNodes:
     h = 0.5 ** level
     first, step = (0, 1) if level == 0 else (1, 2)
     v = h * np.arange(first, math.asinh(_G_CUTOFF / _HALF_PI) / h + 1.0, step)
@@ -140,46 +127,15 @@ def _build_level(level: int) -> _LevelNodes:
     # two coincide at t = 1/2
     mirror = slice(1 - first, None)
     x_hi, x_lo = 1.0 / (1.0 + q), q / (1.0 + q)
-    t = np.concatenate((x_hi, x_lo[mirror]))
-    tc = np.concatenate((x_lo, x_hi[mirror]))
-    neg_log_t = np.concatenate((lq, (2.0 * g + lq)[mirror]))
-    neg_log_tc = np.concatenate((2.0 * g + lq, lq[mirror]))
-    log_weight = np.concatenate((log_w, log_w[mirror]))
-    order = np.argsort(neg_log_t, kind="stable")
-    neg_log_t = neg_log_t[order]
-    near = int(np.searchsorted(neg_log_t, _NEAR_CUT))
-    return _LevelNodes(
-        t=t[order],
-        tc=tc[order],
-        neg_log_t=neg_log_t,
-        ln_neg_log_t=np.log(neg_log_t),
-        neg_log_tc=neg_log_tc[order],
-        log_weight=log_weight[order],
-        near=near,
-        near_pows=neg_log_t[:near] ** np.arange(_SERIES_ORDER + 1.0)[:, None],
+    cols = (
+        np.concatenate((x_hi, x_lo[mirror])),
+        np.concatenate((x_lo, x_hi[mirror])),
+        np.concatenate((lq, (2.0 * g + lq)[mirror])),
+        np.concatenate((2.0 * g + lq, lq[mirror])),
+        np.concatenate((log_w, log_w[mirror])),
     )
-
-
-def _level_nodes(level: int) -> _LevelNodes:
-    if len(_LEVEL_CACHE) <= level:
-        with _LEVEL_CACHE_LOCK:
-            while len(_LEVEL_CACHE) <= level:
-                _LEVEL_CACHE.append(_build_level(len(_LEVEL_CACHE)))
-    return _LEVEL_CACHE[level]
-
-
-class _Powers:
-    """-ln t at some of a block's nodes, with its integer powers cached."""
-
-    __slots__ = ("ell", "cache")
-
-    def __init__(self, ell: np.ndarray):
-        self.ell = ell
-        self.cache: dict = {}  # k -> ell ** k, filled on first use
-
-    def power(self, k: int) -> np.ndarray:
-        row = self.cache.get(k)
-        return row if row is not None else self.cache.setdefault(k, self.ell ** k)
+    order = np.argsort(cols[2], kind="stable")
+    return tuple(col[order] for col in cols)
 
 
 class _Split(NamedTuple):
@@ -187,19 +143,22 @@ class _Split(NamedTuple):
 
     counts: tuple        # nodes below the cut in each level
     near: np.ndarray     # mask of the nodes below the cut
-    far: _Powers         # -ln t at the others
+    far: np.ndarray      # -ln t at the others
     order: np.ndarray    # puts concatenate((values below, values above)) in block order
 
 
 class _NodeBlock(NamedTuple):
-    """The nodes of consecutive refinement levels, concatenated in level order."""
+    """The nodes of consecutive refinement levels, each level's as ``_level_arrays`` sorts them."""
 
-    levels: tuple         # the levels' _LevelNodes
     bounds: tuple         # (start, stop) of each level's nodes
-    neg_log_t: _Powers
+    t: np.ndarray
+    tc: np.ndarray        # 1 - t
+    neg_log_t: np.ndarray
     ln_neg_log_t: np.ndarray
     neg_log_tc: np.ndarray
     log_weight: np.ndarray
+    near: tuple           # nodes with -ln t < _NEAR_CUT in each level
+    near_pows: tuple      # (-ln t)^e at each level's near nodes, e = 0.._SERIES_ORDER
     upper: np.ndarray     # t > 0.5, where 1 - z t is formed as (1 - z) + z (1 - t)
     lin: np.ndarray       # 1 - t where upper, else -t: 1 - z t = (1 - z or 1) + z lin
     near_cut: _Split      # split at _NEAR_CUT
@@ -207,44 +166,31 @@ class _NodeBlock(NamedTuple):
     def split(self, cut: float) -> _Split:
         if cut == _NEAR_CUT:
             return self.near_cut
-        return _split(self.levels, self.bounds, self.neg_log_t.ell, cut)
+        return _split(self.bounds, self.near, self.neg_log_t, cut)
 
 
-def _split(levels: tuple, bounds: tuple, ell: np.ndarray, cut: float) -> _Split:
-    counts = tuple(int(np.searchsorted(lv.neg_log_t[: lv.near], cut)) for lv in levels)
+def _split(bounds: tuple, near: tuple, ell: np.ndarray, cut: float) -> _Split:
+    counts = tuple(int(np.searchsorted(ell[lo:lo + n], cut)) for (lo, _), n in zip(bounds, near))
     near_at = np.concatenate([np.arange(lo, lo + n) for (lo, _), n in zip(bounds, counts)])
     far_at = np.concatenate([np.arange(lo + n, hi) for (lo, hi), n in zip(bounds, counts)])
-    near = np.zeros(len(ell), dtype=bool)
-    near[near_at] = True
-    return _Split(counts, near, _Powers(ell[far_at]), np.argsort(np.concatenate((near_at, far_at))))
+    mask = np.zeros(len(ell), dtype=bool)
+    mask[near_at] = True
+    return _Split(counts, mask, ell[far_at], np.argsort(np.concatenate((near_at, far_at))))
 
 
-def _build_block(levels: tuple) -> _NodeBlock:
-    def join(name):
-        cols = [getattr(lv, name) for lv in levels]
-        return cols[0] if len(cols) == 1 else np.concatenate(cols)
-
-    stops = np.cumsum([len(lv.t) for lv in levels]).tolist()
-    bounds = tuple(zip([0] + stops[:-1], stops))
-    t, ell = join("t"), join("neg_log_t")
-    upper = t > 0.5
-    return _NodeBlock(levels, bounds, _Powers(ell), join("ln_neg_log_t"), join("neg_log_tc"),
-                      join("log_weight"), upper, np.where(upper, join("tc"), -t),
-                      _split(levels, bounds, ell, _NEAR_CUT))
-
-
-_BLOCK_CACHE: dict = {}
-_BLOCK_CACHE_LOCK = threading.Lock()
-
-
+@functools.cache
 def _node_block(levels: range) -> _NodeBlock:
-    key = (levels.start, levels.stop)
-    if key not in _BLOCK_CACHE:
-        tables = tuple(_level_nodes(level) for level in levels)
-        with _BLOCK_CACHE_LOCK:
-            if key not in _BLOCK_CACHE:
-                _BLOCK_CACHE[key] = _build_block(tables)
-    return _BLOCK_CACHE[key]
+    """The one node cache; a block is deterministic, so building one twice at once is harmless."""
+    per_level = [_level_arrays(level) for level in levels]
+    stops = np.cumsum([len(arrays[0]) for arrays in per_level]).tolist()
+    bounds = tuple(zip([0] + stops[:-1], stops))
+    t, tc, ell, neg_log_tc, log_weight = (np.concatenate(col) for col in zip(*per_level))
+    near = tuple(int(np.searchsorted(ell[lo:hi], _NEAR_CUT)) for lo, hi in bounds)
+    exponents = np.arange(_SERIES_ORDER + 1.0)[:, None]
+    upper = t > 0.5
+    return _NodeBlock(bounds, t, tc, ell, np.log(ell), neg_log_tc, log_weight, near,
+                      tuple(ell[lo:lo + n] ** exponents for (lo, _), n in zip(bounds, near)),
+                      upper, np.where(upper, tc, -t), _split(bounds, near, ell, _NEAR_CUT))
 
 
 def _integrate(level_sums, tol: float, max_level: int) -> QuadResult:
@@ -311,24 +257,25 @@ def tanh_sinh(f, tol: float = DEFAULT_TOL, max_level: int = DEFAULT_MAX_LEVEL) -
         raise ValueError("tol must be nonnegative")
     two_arg = _wants_complement(f)
 
-    def level_sum(nodes: _LevelNodes):
-        weights = np.exp(nodes.log_weight)
-        acc = 0j
-        count = 0
-        for t, tc, wgt in zip(nodes.t, nodes.tc, weights):
-            if two_arg:
-                fv = complex(f(t, tc))
-            else:
-                if t == 1.0 or t == 0.0:
-                    continue
-                fv = complex(f(t))
-            count += 1
-            if not (math.isfinite(fv.real) and math.isfinite(fv.imag)):
-                raise EvaluationError(f"integrand returned non-finite value at t={t}")
-            acc += wgt * fv
-        return acc, count
+    def level_sums(levels: range):
+        block = _node_block(levels)
+        for lo, hi in block.bounds:
+            acc = 0j
+            count = 0
+            for t, tc, wgt in zip(block.t[lo:hi], block.tc[lo:hi], np.exp(block.log_weight[lo:hi])):
+                if two_arg:
+                    fv = complex(f(t, tc))
+                else:
+                    if t == 1.0 or t == 0.0:
+                        continue
+                    fv = complex(f(t))
+                count += 1
+                if not (math.isfinite(fv.real) and math.isfinite(fv.imag)):
+                    raise EvaluationError(f"integrand returned non-finite value at t={t}")
+                acc += wgt * fv
+            yield acc, count
 
-    return _integrate(lambda levels: (level_sum(_level_nodes(lv)) for lv in levels), tol, max_level)
+    return _integrate(level_sums, tol, max_level)
 
 
 def _taylor(parts: list, cut: float):
@@ -413,22 +360,22 @@ def _kernel_group(terms: list):
         far = block.neg_log_t if split is None else split.far
         inner = 0.0
         for c, d, k in parts:
-            f = c * np.exp(-d * far.ell) if d else c
-            inner = inner + (f * far.power(k) if k else f)
+            f = c * np.exp(-d * far) if d else c
+            inner = inner + (f * far ** k if k else f)
         # weight * t^(w0-1) * L^p through one exponential: the product is
         # O(integrand mass) even where the factors individually overflow
-        base = (1.0 - w0) * block.neg_log_t.ell + block.log_weight
+        base = (1.0 - w0) * block.neg_log_t + block.log_weight
         if z_one:
             # 1/(1-t) joins the exponential; subnormal 1-t never gets divided by
             base = base + block.neg_log_tc
         if split is None:
             vals = np.exp(base + p0 * block.ln_neg_log_t) * inner
         else:
-            series = np.concatenate([a_rows @ lv.near_pows[:order, :n]
-                                     for lv, n in zip(block.levels, split.counts)], axis=2)
+            series = np.concatenate([a_rows @ pows[:order, :n]
+                                     for pows, n in zip(block.near_pows, split.counts)], axis=2)
             series = series[0, 0] if len(series) == 1 else series[0, 0] + 1j * series[1, 0]
             if not isinstance(inner, np.ndarray):  # constant parts give j > 0 only if not finite
-                inner = np.full(len(far.ell), inner)
+                inner = np.full(len(far), inner)
             p = np.where(split.near, p0 + j, p0)
             vals = np.exp(base + p * block.ln_neg_log_t) * np.concatenate((series, inner))[split.order]
         if divide:

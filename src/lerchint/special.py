@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .compsum import EPS, CompensatedSum
 from .errors import ConvergenceError, DomainError, EvaluationError, PoleError
@@ -113,31 +112,46 @@ def gamma(x: complex) -> complex:
     return val
 
 
-# B_{2k} for k = 1..15 as exact rationals, rendered once to float as
-# B_{2k}/(2k)! which is the combination Euler-Maclaurin needs.
+# B_{2k} for k = 1..15 as exact (numerator, denominator) pairs, rendered
+# once to float as B_{2k}/(2k)!, the combination Euler-Maclaurin needs.
+# Integer true division rounds once, so each float is correctly rounded.
 _BERNOULLI_2K = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-    Fraction(43867, 798),
-    Fraction(-174611, 330),
-    Fraction(854513, 138),
-    Fraction(-236364091, 2730),
-    Fraction(8553103, 6),
-    Fraction(-23749461029, 870),
-    Fraction(8615841276005, 14322),
+    (1, 6),
+    (-1, 30),
+    (1, 42),
+    (-1, 30),
+    (5, 66),
+    (-691, 2730),
+    (7, 6),
+    (-3617, 510),
+    (43867, 798),
+    (-174611, 330),
+    (854513, 138),
+    (-236364091, 2730),
+    (8553103, 6),
+    (-23749461029, 870),
+    (8615841276005, 14322),
 )
 
 _B2K_OVER_FACT = tuple(
-    float(b / math.factorial(2 * (k + 1))) for k, b in enumerate(_BERNOULLI_2K)
+    num / (den * math.factorial(2 * k)) for k, (num, den) in enumerate(_BERNOULLI_2K, start=1)
 )
 
 _MAX_HURWITZ_N = 1 << 20
+
+
+def _checked_args(name: str, s: complex, u: complex, tol: float, s_floor: float) -> tuple:
+    """(s, u) as complex numbers once tol > 0, both are finite, Re s > s_floor and Re u > 0."""
+    s, u = complex(s), complex(u)
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if not (cmath.isfinite(s) and cmath.isfinite(u)):
+        raise DomainError(f"{name} needs finite s and u, got (s={s}, u={u})")
+    if s.real <= s_floor:
+        raise DomainError(f"{name} needs Re s > {s_floor:g}, got s={s}")
+    if u.real <= 0.0:
+        raise DomainError(f"{name} needs Re u > 0, got u={u}")
+    return s, u
 
 
 def hurwitz_zeta(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
@@ -153,14 +167,7 @@ def hurwitz_zeta(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
     raises ConvergenceError naming it.  Near s = 1 the tail ~ N^(1-s)/(s-1)
     is what keeps the floor up.
     """
-    s = complex(s)
-    u = complex(u)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if s.real <= 1.0:
-        raise DomainError(f"hurwitz_zeta needs Re s > 1, got s={s}")
-    if u.real <= 0.0:
-        raise DomainError(f"hurwitz_zeta needs Re u > 0, got u={u}")
+    s, u = _checked_args("hurwitz_zeta", s, u, tol, 1.0)
 
     n_terms = max(16, int(1.2 * abs(s)) + 4)
     neg_s = -s
@@ -250,14 +257,7 @@ def alt_lerch(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
     estimate, which keeps the bound honest for complex s where the clean
     totally-monotone theory does not literally apply.
     """
-    s = complex(s)
-    u = complex(u)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if s.real <= 0.0:
-        raise DomainError(f"alt_lerch needs Re s > 0, got s={s}")
-    if u.real <= 0.0:
-        raise DomainError(f"alt_lerch needs Re u > 0, got u={u}")
+    s, u = _checked_args("alt_lerch", s, u, tol, 0.0)
 
     scale = max(abs(u ** (-s)), 1e-300)
     if not math.isfinite(scale):

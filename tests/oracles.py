@@ -50,7 +50,7 @@ from lerchint.quad1d import (
     _SERIES_ORDER,
     DEFAULT_MAX_LEVEL,
     DEFAULT_TOL,
-    _level_nodes,
+    _node_block,
     is_one,
 )
 from lerchint.special import METHOD_DIRECT_SERIES
@@ -301,7 +301,7 @@ def _kernel_group_per_level(terms: list):
     a_re, a_im = a.real.copy(), (a.imag.copy() if np.any(a.imag) else None)
 
     def level_sum(nodes):
-        n = 0 if j == 0 else nodes.near
+        n = 0 if j == 0 else nodes.near[0]
         if n and cut < _NEAR_CUT:
             n = int(np.searchsorted(nodes.neg_log_t[:n], cut))
         ell, ln_ell = nodes.neg_log_t, nodes.ln_neg_log_t
@@ -314,7 +314,7 @@ def _kernel_group_per_level(terms: list):
             inner = inner + (f * ell[n:] ** k if k else f)
         vals = np.exp(base[n:] + p0 * ln_ell[n:]) * inner
         if n:
-            pows = nodes.near_pows[: len(a_re), :n]
+            pows = nodes.near_pows[0][: len(a_re), :n]
             series = a_re @ pows if a_im is None else a_re @ pows + 1j * (a_im @ pows)
             vals = np.concatenate((np.exp(base[:n] + (p0 + j) * ln_ell[:n]) * series, vals))
         if not z_one and z != 0.0:
@@ -331,7 +331,7 @@ def _integrate_per_level(level_sum, tol: float, max_level: int) -> QuadResult:
     prev = None
     diff = math.inf
     for level in range(max_level + 1):
-        s, n = level_sum(_level_nodes(level))
+        s, n = level_sum(_node_block(range(level, level + 1)))
         s = complex(s)
         nodes_used += n
         h = 0.5 ** level

@@ -305,6 +305,14 @@ class TestVerify:
         assert rep.cancellation_flagged
         assert rep.pass_
 
+    def test_cancellation_warning_names_the_callers_line(self):
+        spec = IntegrandSpec(m=2, family="f-kernel", exponents=(1.0, 1.0 + 5e-4), z=0.5, s=1.0)
+        for call in (lambda: rhs_theorem3_pair(spec.m, spec.z, spec.s, *spec.exponents),
+                     lambda: verify(spec, tol=1e-6)):
+            with pytest.warns(CancellationWarning) as record:
+                call()
+            assert [w.filename for w in record] == [__file__]
+
     def test_reports_deterministic(self):
         spec = IntegrandSpec(m=3, family="theorem4-kernel", exponents=(1.3,), z=0.5, s=1.0)
         opts = QmcOptions(points=2 ** 12, replicates=4, seed=13)

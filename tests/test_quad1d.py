@@ -3,6 +3,9 @@
 import itertools
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from lerchint import (
     tanh_sinh,
     verify,
 )
-from lerchint.quad1d import _NEAR_CUT, _level_nodes, _taylor
+from lerchint.quad1d import _NEAR_CUT, _node_block, _taylor
 
 
 class TestTanhSinh:
@@ -202,10 +205,8 @@ def test_two_argument_integrand_gets_exact_complement():
 
 
 def test_node_tables_consistent():
-    from lerchint.quad1d import _level_nodes
-
     for level in range(6):
-        nodes = _level_nodes(level)
+        nodes = _node_block(range(level, level + 1))
         assert np.all(nodes.tc > 0.0)
         assert np.all(nodes.neg_log_t > 0.0)
         assert np.all(nodes.neg_log_tc > 0.0)
@@ -232,7 +233,7 @@ def _outcome(evaluate, reduced, tol) -> str:
 
 
 def _stop_level(result) -> int:
-    ends = list(itertools.accumulate(len(_level_nodes(level).t) for level in range(13)))
+    ends = list(itertools.accumulate(len(_node_block(range(level, level + 1)).t) for level in range(13)))
     return ends.index(result.nodes)
 
 
@@ -249,6 +250,32 @@ def _sweep_specs(seed: int, draws: int):
                 yield reduce(IntegrandSpec(m, family, exponents, z, s))
             except (DomainError, DegeneracyError):
                 continue
+
+
+def test_cold_cache_serial_and_threaded_runs_match_warm():
+    # the node cache has no lock: blocks built twice at once are equal, so no
+    # result, nodes included, may depend on what the process has cached
+    reductions = [*_sweep_specs(3, draws=1), reduce(IntegrandSpec(2, "symmetric", (1.3,), 1.0, -0.97))]
+
+    def run_all(barrier=None):
+        if barrier is not None:
+            barrier.wait(timeout=60)
+        return [_outcome(reduced_eval, reduced, 1e-12) for reduced in reductions]
+
+    run_all()
+    warm = run_all()
+    assert any("ConvergenceError" in outcome for outcome in warm)  # every level block is used
+    _node_block.cache_clear()
+    assert run_all() == warm
+    _node_block.cache_clear()
+    barrier = threading.Barrier(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch inside a block's build
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            assert list(pool.map(run_all, [barrier] * 4, timeout=120)) == [warm] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestBatchedLevelsMatchPerLevel:

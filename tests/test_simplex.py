@@ -149,11 +149,12 @@ class TestBruteOracleAgreement:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy backs only the test oracle brute_simplex; the runtime needs numpy alone
+    # scipy backs only the test oracle brute_simplex; the runtime needs numpy
+    # alone, and the Bernoulli table is plain integer pairs, not fractions
     src = os.path.dirname(os.path.dirname(os.path.abspath(lerchint.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, lerchint; sys.exit('scipy' in sys.modules)"
+    code = "import sys, lerchint; sys.exit('scipy' in sys.modules or 'fractions' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 

@@ -6,6 +6,7 @@ code paths under test.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from lerchint import (
     gamma,
     hurwitz_zeta,
 )
+from lerchint.special import _B2K_OVER_FACT, _BERNOULLI_2K
 
 SQRT_PI = 1.7724538509055160273
 
@@ -202,3 +204,24 @@ def test_convergence_error_is_raised_when_budget_tiny(monkeypatch):
     monkeypatch.setattr(sp, "_MAX_CVZ_N", 4)
     with pytest.raises(ConvergenceError):
         sp.alt_lerch(1.0, 1.0, tol=1e-14)
+
+
+@pytest.mark.parametrize("func", [hurwitz_zeta, alt_lerch])
+@pytest.mark.parametrize(
+    "s,u", [(2.0, math.nan), (2.0, complex(1.0, math.inf)), (math.inf, 1.0), (complex(2.0, math.nan), 1.0)]
+)
+def test_non_finite_arguments_raise_domain_error_at_entry(func, s, u):
+    # unchecked, these summed 2^20 terms before a ConvergenceError, raised a
+    # bare OverflowError or blamed an overflowing leading term
+    with pytest.raises(DomainError, match="needs finite s and u"):
+        func(s, u, 1e-12)
+
+
+def test_bernoulli_table_matches_exact_rationals():
+    # B_n from sum_{j<=n} C(n+1, j) B_j = 0 with B_0 = 1, in exact arithmetic
+    b = [Fraction(1)]
+    for n in range(1, 2 * len(_BERNOULLI_2K) + 1):
+        b.append(-sum(math.comb(n + 1, j) * b[j] for j in range(n)) / (n + 1))
+    for k, (num, den) in enumerate(_BERNOULLI_2K, start=1):
+        assert Fraction(num, den) == b[2 * k]
+        assert _B2K_OVER_FACT[k - 1] == float(b[2 * k] / math.factorial(2 * k))
