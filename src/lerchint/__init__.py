@@ -37,7 +37,7 @@ from .identities import (
 )
 from .lerch import LerchArgs, phi
 from .qmc import QmcOptions, QmcResult, halton_point, qmc_estimate
-from .quad1d import KernelTerm, QuadResult, lerch_kernel_integral, reduced_eval, tanh_sinh
+from .quad1d import KernelTerm, QuadResult, lerch_kernel_integral, reduced_eval
 from .simplex import FAMILIES, IntegrandSpec, ReducedIntegrand, reduce
 from .special import EvalResult, alt_lerch, gamma, hurwitz_zeta
 
@@ -80,7 +80,6 @@ __all__ = [
     "rhs_theorem3_symmetric",
     "rhs_theorem4",
     "rhs_theorem5",
-    "tanh_sinh",
     "verify",
     "verify_batch",
     "verify_dimension_lift",

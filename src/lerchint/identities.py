@@ -27,6 +27,7 @@ within 3 standard errors.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -83,13 +84,16 @@ def _cancels(u: complex, v: complex) -> bool:
 
 
 def _warn_cancellation(u: complex, v: complex) -> None:
-    """Warn that the quotient over u - v cancels, naming the line that called
-    ``rhs_theorem3_pair`` or ``verify``."""
+    """Warn that the quotient over u - v cancels, naming the first line outside
+    this module: the caller of ``rhs_theorem3_pair``, ``verify`` or ``verify_batch``."""
+    frame, level = sys._getframe(1), 2  # stacklevel 2 is this function's caller
+    while frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
     warnings.warn(
         f"difference quotient at |u-v|={abs(u - v):.2e} loses about "
         f"{int(-math.log10(abs(u - v)))} digits",
         CancellationWarning,
-        stacklevel=3,
+        stacklevel=level,
     )
 
 

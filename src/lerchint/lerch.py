@@ -14,8 +14,8 @@ here and phi raises unless the quadrature fallback is enabled.
 
 The direct series has one term budget, ``_SERIES_BUDGET``, wherever it
 runs.  It stops at the first term whose tail bound plus rounding
-allowance meets the tolerance.  Where the tail bound decreases, the terms
-before the first point it could meet the tolerance are summed through
+allowance meets the tolerance.  The terms before the first point the
+tail bound could meet the tolerance are summed through
 ``CompensatedSum.extend`` without a stopping test, which gives the same
 numbers as testing each term.  A tolerance the series cannot reach raises
 ConvergenceError at once: when that first point lies beyond the term
@@ -81,28 +81,34 @@ def _series_tail_bound(z: complex, s: complex, u: complex):
     they are settled here once.  Infinity signals "cannot bound yet, keep
     summing".
 
-    Returns ``(bound, decreasing)``; ``decreasing`` is false only for the
-    Re s < 0 disk bound, which can grow before it falls.
+    Each bound is infinite up to some n and decreasing after it, so the first
+    n it meets a target can be searched for: the Re s < 0 disk bound is
+    infinite while the ratio bound rho >= 1, and past that both rho and
+    |z|^n |u+n|^(-Re s) fall, since |u+n+1|/|u+n| <= (Re u+n+1)/(Re u+n).
     """
     az = abs(z)
     amp = math.exp(abs(s.imag) * 0.5 * math.pi)
     sr, ur = s.real, u.real
     if az >= _DISK_EDGE:  # |z| = 1, z != +-1: the integral test, for Re s > 1
-        return (lambda n_last: amp * (ur + n_last) ** (1.0 - sr) / (sr - 1.0)), True
+        return lambda n_last: amp * (ur + n_last) ** (1.0 - sr) / (sr - 1.0)
     if sr >= 0.0:
-        return (lambda n_last: amp * (az ** (n_last + 1) * (ur + (n_last + 1)) ** (-sr))
-                / (1.0 - az)), True
+        return lambda n_last: amp * (az ** (n_last + 1) * (ur + (n_last + 1)) ** (-sr)) / (1.0 - az)
 
     def geometric_growing(n_last: int) -> float:
         n1 = n_last + 1
         rho = az * ((ur + n1 + 1.0) / (ur + n1)) ** (-sr)
-        return math.inf if rho >= 1.0 else amp * (az ** n1 * abs(u + n1) ** (-sr)) / (1.0 - rho)
+        if rho >= 1.0:
+            return math.inf
+        try:
+            return amp * (az ** n1 * abs(u + n1) ** (-sr)) / (1.0 - rho)
+        except OverflowError:  # |u+n|^(-Re s) alone overflows where _first_below's doubling looks
+            return amp * math.exp(min(n1 * math.log(az) - sr * math.log(abs(u + n1)), 700.0)) / (1.0 - rho)
 
-    return geometric_growing, False
+    return geometric_growing
 
 
 def _first_below(tail_bound, target: float, limit: int) -> int:
-    """Smallest n >= 1 with tail_bound(n) <= target, for a decreasing bound.
+    """Smallest n >= 1 with tail_bound(n) <= target, for a bound infinite and then decreasing.
 
     Doubling, then bisection.  Returns limit + 1 when no n <= limit
     qualifies; a NaN bound never qualifies.
@@ -138,25 +144,25 @@ def _direct_series(args: LerchArgs, tol: float, budget: int) -> EvalResult:
     """Sum z^n (u+n)^(-s) for n = 0..N and stop at the first N that meets ``tol``.
 
     N >= 1 meets ``tol`` when its tail bound plus the rounding allowance
-    ``CompensatedSum.floor`` is at most ``tol``.  With a decreasing tail
-    bound no N before the first one whose bound alone meets ``tol`` minus
-    the allowance can stop, so the terms before it (less a margin of
-    ``_STOP_MARGIN``) go through ``CompensatedSum.extend`` with no test; the
-    stop and every number are those of testing each term.  It raises
-    ConvergenceError at once when that first N lies beyond ``budget``, and
-    as soon as the allowance alone exceeds ``tol``: it never shrinks, so no
-    later N could stop.
+    ``CompensatedSum.floor`` is at most ``tol``.  The tail bound is infinite
+    and then decreasing: no N before the first one whose bound alone meets
+    ``tol`` minus the allowance can stop, and the terms before it (less a
+    margin of ``_STOP_MARGIN``) go through ``CompensatedSum.extend`` with no
+    test; the stop and every number are those of testing each term.  It
+    raises ConvergenceError at once when that first N lies beyond
+    ``budget``, and as soon as the allowance alone exceeds ``tol``: it never
+    shrinks, so no later N could stop.
     """
     z, s, u = args.z, args.s, args.u
     if abs(z) == 0.0:
         value = u ** (-s)  # only the n=0 term survives
         return EvalResult(value, 2.0 * EPS * abs(value), METHOD_DIRECT_SERIES, 1)
-    tail_bound, decreasing = _series_tail_bound(z, s, u)
+    tail_bound = _series_tail_bound(z, s, u)
     what = lambda: f"direct series for (z={z}, s={s}, u={u})"  # noqa: E731
     acc = CompensatedSum()
     terms = _series_terms(z, u, s)
     n = 0  # terms summed so far
-    while decreasing:
+    while True:
         floor = acc.check_floor(tol, n, what)
         first = _first_below(tail_bound, tol - floor, budget + _STOP_MARGIN)
         if first - _STOP_MARGIN > budget:

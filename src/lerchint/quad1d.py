@@ -1,9 +1,10 @@
-"""Double-exponential (tanh-sinh) quadrature on (0,1).
+"""Double-exponential (tanh-sinh) quadrature of Lerch-kernel sums on (0,1).
 
-The variable change t = (1 + tanh((pi/2) sinh(v)))/2 pushes both endpoints
-infinitely far away, so trapezoid sums converge fast even for integrands
-with algebraic or logarithmic endpoint singularities.  The nodes live in
-one cache of blocks, each the concatenated nodes of a run of consecutive
+The rule is Takahasi and Mori's (Publ. RIMS 9, 1974); ``reduced_eval`` is its
+one entry point.  The variable change t = (1 + tanh((pi/2) sinh(v)))/2 pushes
+both endpoints infinitely far away, so trapezoid sums converge fast even with
+algebraic or logarithmic endpoint singularities.  The nodes live in one cache
+of blocks, each the concatenated nodes of a run of consecutive
 refinement levels; each node carries its distance to BOTH endpoints plus a
 stably computed -ln(t), because the kernels of interest,
 
@@ -19,12 +20,10 @@ sum can vanish to a higher power of -ln t than any of its terms, so there
 it is summed from its Taylor series in -ln t, whose cancelling leading
 coefficients are exactly zero; see ``_kernel_group``.
 
-Most such sums converge by level 4, so ``reduced_eval`` evaluates levels
-0-4 in one vectorized pass over the block of their nodes, and each later
-level over a block of one level.  Each level is still summed over
-its own nodes and tested in turn, giving the numbers a level-by-level
-pass gives; ``QuadResult.nodes`` counts only the nodes of the levels the
-result used.
+Most such sums converge by level 4, so levels 0-4 are evaluated in one
+vectorized pass over the block of their nodes, and each later level over a
+block of one level.  Each level is still summed over its own nodes and
+tested in turn, giving the numbers a level-by-level pass gives.
 
 Truncating the nodes where the transformed weight underflows drops
 an endpoint tail of mass about exp(-736 Re w)/Re w (and similarly in the
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import inspect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,7 +54,8 @@ _LN_QUARTER_PI = math.log(0.25 * math.pi)  # ln of the Jacobian prefactor
 _NEAR_CUT = 0.25  # -ln t below which a kernel sum is summed as its series
 _SERIES_ORDER = 32  # highest power of -ln t tabulated at the near-one nodes
 _NOISE = 64.0 * EPS  # a series coefficient this small against its terms is rounding
-_BATCH_LEVELS = 5  # levels 0-4 share one node block; almost every kernel sum stops by level 4
+# the node blocks reduced_eval walks: levels 0-4, where almost every kernel sum stops, then one each
+_LEVEL_BLOCKS = (range(5), *(range(level, level + 1) for level in range(5, DEFAULT_MAX_LEVEL + 1)))
 
 
 @dataclass(frozen=True)
@@ -193,91 +192,6 @@ def _node_block(levels: range) -> _NodeBlock:
                       upper, np.where(upper, tc, -t), _split(bounds, near, ell, _NEAR_CUT))
 
 
-def _integrate(level_sums, tol: float, max_level: int) -> QuadResult:
-    """The refinement driver of every quadrature here.
-
-    ``level_sums(levels)`` yields, for each level of the range ``levels`` in
-    order, (sum of weight*f over the nodes new to that level, their count).
-    The first range holds levels 0 to min(4, max_level) and each later one a
-    single level, so a caller may evaluate levels 0-4 in one pass; it should
-    raise for a level only when that level's pair is asked for.  Converged when
-    successive level values differ by <= tol from level 2 on; abs_err is that
-    difference, and at the level cap the last one.
-    """
-    total = 0j
-    nodes_used = 0
-    diff = math.inf
-    levels = range(min(_BATCH_LEVELS, max_level + 1))
-    while levels:
-        for level, (s, n) in zip(levels, level_sums(levels)):
-            s = complex(s)
-            nodes_used += n
-            if level == 0:
-                total = s
-                continue
-            prev, total = total, 0.5 * total + 0.5 ** level * s
-            diff = abs(total - prev)
-            if level >= 2 and diff <= tol:
-                return QuadResult(total, diff, nodes_used)
-        levels = range(levels.stop, min(levels.stop + 1, max_level + 1))
-    partial = QuadResult(total, diff, nodes_used)
-    raise ConvergenceError(
-        f"tanh-sinh level cap {max_level} hit with diff={diff:.3e} > tol={tol}",
-        result=partial,
-    )
-
-
-def _wants_complement(f) -> bool:
-    try:
-        sig = inspect.signature(f)
-    except (TypeError, ValueError):
-        return False
-    positional = [
-        p
-        for p in sig.parameters.values()
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    return len(positional) >= 2 and positional[1].default is sig.empty
-
-
-def tanh_sinh(f, tol: float = DEFAULT_TOL, max_level: int = DEFAULT_MAX_LEVEL) -> QuadResult:
-    """Integrate a scalar callable f over (0,1).
-
-    f is only evaluated strictly inside the interval; integrable endpoint
-    behavior (t^a with a > -1, powers of ln t) is handled by the transform.
-    A non-finite value from f raises EvaluationError.
-
-    f may take a second positional argument to receive the exact distance
-    to 1 (f(t, one_minus_t)); integrands singular at t=1 beyond a log
-    should use it, because in the one-argument form nodes whose abscissa
-    rounds to 1.0 in double precision are skipped and only their
-    sub-1e-16-deep tail is lost.
-    """
-    if not tol >= 0.0:
-        raise ValueError("tol must be nonnegative")
-    two_arg = _wants_complement(f)
-
-    def level_sums(levels: range):
-        block = _node_block(levels)
-        for lo, hi in block.bounds:
-            acc = 0j
-            count = 0
-            for t, tc, wgt in zip(block.t[lo:hi], block.tc[lo:hi], np.exp(block.log_weight[lo:hi])):
-                if two_arg:
-                    fv = complex(f(t, tc))
-                else:
-                    if t == 1.0 or t == 0.0:
-                        continue
-                    fv = complex(f(t))
-                count += 1
-                if not (math.isfinite(fv.real) and math.isfinite(fv.imag)):
-                    raise EvaluationError(f"integrand returned non-finite value at t={t}")
-                acc += wgt * fv
-            yield acc, count
-
-    return _integrate(level_sums, tol, max_level)
-
-
 def _taylor(parts: list, cut: float):
     """(j, [a_j, ..., a_N]) for sum_i c_i e^(-d_i L) L^(k_i), parts = (c_i, d_i, k_i).
 
@@ -388,12 +302,14 @@ def _kernel_group(terms: list):
 def reduced_eval(reduced, tol: float = DEFAULT_TOL) -> QuadResult:
     """Evaluate a weighted sum of kernel terms: sum_i c_i * K(z_i, w_i, p_i).
 
-    The whole sum is integrated in one tanh-sinh pass with one convergence
-    test, so abs_err is the difference of the whole sum between the last
-    two levels.  Terms whose p differ by integers are summed as one
-    function (``_kernel_group``), so a sum is accepted when it is
-    integrable at t = 1 even if its terms are not one by one; a sum that
-    is not raises DomainError before any quadrature.
+    The whole sum is integrated in one tanh-sinh pass that stops, from level
+    2 on, at the first level whose value differs from the one before by
+    <= tol; abs_err is that difference, nodes the nodes of the levels used.
+    Past ``DEFAULT_MAX_LEVEL`` it raises ConvergenceError carrying the last
+    ones, and at a level with a non-finite sum, EvaluationError.  Terms whose p
+    differ by integers are summed as one function (``_kernel_group``), so a
+    sum is accepted when it is integrable at t = 1 even if its terms are not
+    one by one; a sum that is not raises DomainError before any quadrature.
     """
     terms = reduced.terms if hasattr(reduced, "terms") else tuple(reduced)
     buckets: list = []  # terms with one z whose p differ by integers
@@ -409,15 +325,27 @@ def reduced_eval(reduced, tol: float = DEFAULT_TOL) -> QuadResult:
     if not groups:
         return QuadResult(0j, 0.0, 0)
 
-    def level_sums(levels: range):
+    total = 0j
+    nodes_used = 0
+    diff = math.inf
+    for levels in _LEVEL_BLOCKS:
         block = _node_block(levels)
-        for (lo, hi), *sums in zip(block.bounds, *(g(block) for g in groups)):
-            total = complex(sum(sums))
-            if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        for level, (lo, hi), *sums in zip(levels, block.bounds, *(g(block) for g in groups)):
+            s = complex(sum(sums))
+            if not (math.isfinite(s.real) and math.isfinite(s.imag)):
                 raise EvaluationError(f"kernel sum produced non-finite node values: {terms}")
-            yield total, hi - lo
-
-    return _integrate(level_sums, tol, DEFAULT_MAX_LEVEL)
+            nodes_used += hi - lo
+            if level == 0:
+                total = s
+                continue
+            prev, total = total, 0.5 * total + 0.5 ** level * s
+            diff = abs(total - prev)
+            if level >= 2 and diff <= tol:
+                return QuadResult(total, diff, nodes_used)
+    raise ConvergenceError(
+        f"tanh-sinh level cap {DEFAULT_MAX_LEVEL} hit with diff={diff:.3e} > tol={tol}",
+        result=QuadResult(total, diff, nodes_used),
+    )
 
 
 def lerch_kernel_integral(z: complex, w: complex, p: complex, tol: float = DEFAULT_TOL) -> QuadResult:

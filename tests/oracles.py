@@ -241,7 +241,7 @@ def direct_series_per_term(args: LerchArgs, tol: float, budget: int) -> EvalResu
     if abs(z) == 0.0:
         value = u ** (-s)
         return EvalResult(value, 2.0 * _EPS * abs(value), METHOD_DIRECT_SERIES, 1)
-    tail_bound = _series_tail_bound(z, s, u)[0]
+    tail_bound = _series_tail_bound(z, s, u)
     acc = PerTermSum()
     zp = 1.0 + 0j
     n = 0

@@ -308,7 +308,8 @@ class TestVerify:
     def test_cancellation_warning_names_the_callers_line(self):
         spec = IntegrandSpec(m=2, family="f-kernel", exponents=(1.0, 1.0 + 5e-4), z=0.5, s=1.0)
         for call in (lambda: rhs_theorem3_pair(spec.m, spec.z, spec.s, *spec.exponents),
-                     lambda: verify(spec, tol=1e-6)):
+                     lambda: verify(spec, tol=1e-6),
+                     lambda: verify_batch([spec], tol=1e-6)):
             with pytest.warns(CancellationWarning) as record:
                 call()
             assert [w.filename for w in record] == [__file__]

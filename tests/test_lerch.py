@@ -241,6 +241,9 @@ def _sweep_points(seed: int = 29) -> list:
         points += [("circle", z, 5.0 + 0j, 0.3 + 0j, tol, 20_000) for tol in (3.6e-13, 3.7e-13, 4e-13)]
     points += [("band", 0.95 + 0j, 3.0 + 0j, 0.3 + 0j, tol, 20_000) for tol in (3.3e-14, 3.4e-14, 4e-14)]
     points.append(("disk-neg-s", 0.5 + 0j, -3.0 + 0j, 2.0 + 0j, 1e-14, 20_000))
+    # |terms| rise from 7.6 to about 8e3 by n = 10 and then fall: the bound is
+    # infinite for the first terms, and the stop is still predicted
+    points.append(("disk-neg-s", 0.7 + 0.2j, -5.0 + 0.5j, 1.5 - 0.3j, 1e-9, 20_000))
     return points
 
 
@@ -260,6 +263,13 @@ def test_direct_series_is_bit_identical_to_per_term_loop(region, z, s, u, tol, b
     assert (edge.value, edge.abs_err, edge.work) == (ref.value, ref.abs_err, ref.work)
     with pytest.raises(ConvergenceError):
         _direct_series(args, tol, ref.work - 2)
+
+
+def test_steep_negative_s_bound_does_not_overflow():
+    # |u+n|^60 overflows past n ~ 1.4e5, where the stop search looks, while
+    # |z|^n |u+n|^60 is far below 1: the series still reports its floor
+    with pytest.raises(ConvergenceError, match="rounding floor"):
+        phi(LerchArgs(0.9945, -60.0, 1.0), 1e-12)
 
 
 @pytest.mark.parametrize("args,fragment", [

@@ -1,4 +1,4 @@
-"""tanh-sinh quadrature and Lerch-kernel integral tests."""
+"""tanh-sinh quadrature of kernel sums and Lerch-kernel integral tests."""
 
 import itertools
 import math
@@ -27,59 +27,9 @@ from lerchint import (
     phi,
     reduce,
     reduced_eval,
-    tanh_sinh,
     verify,
 )
-from lerchint.quad1d import _NEAR_CUT, _node_block, _taylor
-
-
-class TestTanhSinh:
-    def test_constant(self):
-        r = tanh_sinh(lambda t: 1.0)
-        assert abs(r.value - 1.0) <= 1e-14
-        assert r.nodes >= 1
-
-    def test_neg_log(self):
-        r = tanh_sinh(lambda t: -math.log(t))
-        assert abs(r.value - 1.0) <= 1e-12
-
-    def test_inverse_sqrt_endpoint_singularity(self):
-        r = tanh_sinh(lambda t: 0.5 / math.sqrt(t))
-        assert abs(r.value - 1.0) <= 1e-10
-
-    def test_log_singularity_both_ends(self):
-        # int_0^1 ln(t) ln(1-t) dt = 2 - pi^2/6
-        r = tanh_sinh(lambda t: math.log(t) * math.log1p(-t), tol=1e-13)
-        assert abs(r.value - (2.0 - math.pi ** 2 / 6.0)) <= 1e-12
-
-    def test_complex_integrand(self):
-        r = tanh_sinh(lambda t: complex(t, t * t))
-        assert abs(r.value - complex(0.5, 1.0 / 3.0)) <= 1e-12
-
-    def test_nonfinite_raises(self):
-        with pytest.raises(EvaluationError):
-            tanh_sinh(lambda t: float("nan"))
-
-    def test_level_cap_carries_partial_result(self):
-        with pytest.raises(ConvergenceError) as err:
-            tanh_sinh(lambda t: t ** (-0.9), tol=1e-15, max_level=3)
-        partial = err.value.result
-        assert partial is not None
-        assert partial.nodes > 0
-        # the last difference of levels 2 and 3, not the zero of a level with itself
-        assert partial.abs_err > 0.0
-        assert f"diff={partial.abs_err:.3e} " in str(err.value)
-
-    def test_error_monotone_in_level_budget(self):
-        # an interior square-root kink: tanh-sinh converges only algebraically,
-        # so every cap is hit and each one's last difference is smaller
-        errs = []
-        for cap in (4, 6, 8, 10):
-            with pytest.raises(ConvergenceError) as err:
-                tanh_sinh(lambda t: math.sqrt(abs(t - 0.5)), tol=1e-15, max_level=cap)
-            errs.append(err.value.result.abs_err)
-        assert errs[-1] > 0.0
-        assert all(a > b for a, b in zip(errs, errs[1:])), errs
+from lerchint.quad1d import _LEVEL_BLOCKS, _NEAR_CUT, _node_block, _taylor
 
 
 class TestKernelTermValidation:
@@ -117,6 +67,11 @@ class TestLerchKernelIntegral:
         r = lerch_kernel_integral(0.0, 1.0, 0.0)
         assert abs(r.value - 1.0) <= 1e-13
 
+    def test_neg_log(self):
+        # int -ln t dt = 1
+        r = lerch_kernel_integral(0.0, 1.0, 1.0)
+        assert abs(r.value - 1.0) <= 1e-12
+
     def test_t_times_neg_log(self):
         # int t (-ln t) dt = 1/4
         r = lerch_kernel_integral(0.0, 2.0, 1.0)
@@ -125,6 +80,22 @@ class TestLerchKernelIntegral:
     def test_geometric_half(self):
         r = lerch_kernel_integral(0.5, 1.0, 0.0)
         assert abs(r.value - 2.0 * math.log(2.0)) <= 1e-12
+
+    def test_inverse_sqrt_endpoint_singularity(self):
+        # int t^(-1/2) dt = 2
+        r = lerch_kernel_integral(0.0, 0.5, 0.0)
+        assert abs(r.value - 2.0) <= 1e-10
+
+    def test_singularities_at_both_ends(self):
+        # t^(-1/2) (-ln t)^(-1/2) blows up at 0 and like (1-t)^(-1/2) at 1;
+        # its integral is gamma(1/2) * (1/2)^(-1/2) = sqrt(2 pi)
+        r = lerch_kernel_integral(0.0, 0.5, -0.5)
+        assert abs(r.value - math.sqrt(2.0 * math.pi)) <= 1e-12
+
+    def test_complex_exponent(self):
+        # int (-ln t)^i dt = gamma(1 + i)
+        r = lerch_kernel_integral(0.0, 1.0, 1j)
+        assert abs(r.value - gamma(1.0 + 1j)) <= 1e-12
 
     def test_negative_p(self):
         # int (-ln t)^(-1/2) dt = sqrt(pi) (substitute t = e^-y)
@@ -178,30 +149,44 @@ class TestReducedEval:
                 terms=(KernelTerm(1.0, 1.0, 0.0, 0.1), KernelTerm(1.0, 1.0, 0.0, 0.2))
             )
 
+    def test_nonfinite_node_values_raise(self):
+        # every field is finite, but a level's weighted sum overflows
+        with np.errstate(over="ignore"), pytest.raises(EvaluationError):
+            reduced_eval((KernelTerm(1e308, 1.0, 0.0, 0.5),))
+
+    def test_complex_coefficient_and_w(self):
+        # (1 + 2i) int t^i dt = (1 + 2i) / (1 + i)
+        r = reduced_eval((KernelTerm(1.0 + 2.0j, 1.0 + 1.0j, 0.0, 0.0),))
+        assert abs(r.value - (1.0 + 2.0j) / (1.0 + 1.0j)) <= 1e-13
+
+    def test_level_cap_carries_partial_result(self):
+        # (-ln t)^0.03 / (1 - t) decays too slowly at t = 1 to meet 1e-11
+        with pytest.raises(ConvergenceError) as err:
+            reduced_eval((KernelTerm(1.0, 1.0, 0.03, 1.0),), 1e-11)
+        partial = err.value.result
+        assert partial is not None
+        # every level's nodes, up to the cap, were used
+        assert partial.nodes == sum(len(_node_block(levels).t) for levels in _LEVEL_BLOCKS)
+        # the last difference of levels 11 and 12, not the zero of a level with itself
+        assert partial.abs_err > 0.0
+        assert f"diff={partial.abs_err:.3e} " in str(err.value)
+
+    def test_error_falls_as_tol_tightens(self):
+        term = (KernelTerm(1.0, 1.0, 0.5, 0.9),)
+        exact = gamma(1.5) * phi(LerchArgs(0.9, 1.5, 1.0), tol=1e-14).value
+        nodes = []
+        for tol in (1e-4, 1e-7, 1e-10, 1e-13):
+            r = reduced_eval(term, tol)
+            assert r.abs_err <= tol
+            assert abs(r.value - exact) <= max(tol, 1e-13)
+            nodes.append(r.nodes)
+        assert nodes == sorted(nodes) and nodes[0] < nodes[-1], nodes
+
     def test_error_propagation(self):
         terms = (KernelTerm(3.0, 1.0, 0.5, 0.5), KernelTerm(-2.0, 1.5, 0.5, 0.5))
         r = reduced_eval(ReducedIntegrand(terms=terms), tol=1e-10)
         direct = 3.0 * lerch_kernel_integral(0.5, 1.0, 0.5).value - 2.0 * lerch_kernel_integral(0.5, 1.5, 0.5).value
         assert abs(r.value - direct) <= 1e-10
-
-
-def test_scalar_integrand_never_sees_endpoints():
-    seen = []
-
-    def probe(t):
-        seen.append(t)
-        return 1.0
-
-    tanh_sinh(probe, tol=1e-13)
-    arr = np.array(seen)
-    assert np.all(arr > 0.0)
-    assert np.all(arr < 1.0)
-
-
-def test_two_argument_integrand_gets_exact_complement():
-    # (1-t)^(-1/2)/2 integrates to 1; needs the complement to resolve t ~ 1
-    r = tanh_sinh(lambda t, tc: 0.5 / math.sqrt(tc), tol=1e-12)
-    assert abs(r.value - 1.0) <= 1e-10
 
 
 def test_node_tables_consistent():
@@ -213,6 +198,19 @@ def test_node_tables_consistent():
         # where the float abscissa did not collapse, t + tc reconstructs 1
         ok = nodes.t < 1.0
         assert np.allclose(nodes.t[ok] + nodes.tc[ok], 1.0, rtol=0, atol=1e-15)
+
+
+def test_kernels_never_see_the_endpoints():
+    # every node reduced_eval walks is strictly inside (0,1) in both of its
+    # distances to the endpoints, and carries finite logs of both
+    for levels in _LEVEL_BLOCKS:
+        nodes = _node_block(levels)
+        assert np.all(nodes.t > 0.0)
+        assert np.all(nodes.tc > 0.0)
+        for col in (nodes.neg_log_t, nodes.neg_log_tc, nodes.log_weight):
+            assert np.all(np.isfinite(col))
+        assert np.all(nodes.neg_log_t > 0.0)
+        assert np.all(nodes.neg_log_tc > 0.0)
 
 
 def test_verify_level_cap_reports_the_last_difference():
