@@ -62,11 +62,14 @@ def parse_complex(text: str) -> complex:
 
 
 def _cplx_in(obj) -> complex:
+    # json reads true and false as bools, which Python counts as the integers 1 and 0
     if isinstance(obj, dict):
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-    if isinstance(obj, (int, float)):
+        parts = obj.get("re", 0.0), obj.get("im", 0.0)
+        if not any(isinstance(part, bool) for part in parts):
+            return complex(*map(float, parts))
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return complex(obj)
-    if isinstance(obj, str):
+    elif isinstance(obj, str):
         return parse_complex(obj)
     raise DomainError(f"cannot interpret {obj!r} as a complex number")
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -99,23 +99,27 @@ def _warn_cancellation(u: complex, v: complex) -> None:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Sum of coeff * gamma(gamma_arg) * Phi(phi_args) plus an optional power.
+    """gamma(gamma_arg) * [sum of coeff * Phi(args) + an optional power].
 
-    The power term contributes coeff * base^exponent; it carries the
-    u^(-s-m+1) piece of the theorem4-kernel closed form.  Each Phi's domain
-    is decided by ``LerchArgs`` and by ``phi`` itself.
+    Every closed form here has this shape, so gamma is computed once.  The
+    power term (coeff, divisor, base, exponent) contributes
+    coeff * gamma / divisor * base^exponent; it carries the u^(-s-m+1)
+    piece of the theorem4-kernel closed form.  Each Phi's domain is decided
+    by ``LerchArgs`` and by ``phi`` itself.
     """
 
-    terms: tuple  # of (coeff, gamma_arg, LerchArgs)
-    power_term: tuple | None = None  # (coeff, base, exponent)
+    gamma_arg: complex
+    terms: tuple  # of (coeff, LerchArgs)
+    power_term: tuple | None = None  # (coeff, divisor, base, exponent)
 
     def value(self, tol: float = _DEFAULT_PHI_TOL) -> complex:
+        g = gamma(self.gamma_arg)
         total = 0j
-        for coeff, gamma_arg, args in self.terms:
-            total += coeff * gamma(gamma_arg) * phi(args, tol).value
+        for coeff, args in self.terms:
+            total += coeff * g * phi(args, tol).value
         if self.power_term is not None:
-            coeff, base, exponent = self.power_term
-            total += coeff * base ** exponent
+            coeff, divisor, base, exponent = self.power_term
+            total += coeff * g / divisor * base ** exponent
         return total
 
 
@@ -126,27 +130,21 @@ def rhs_theorem3_pair(
 
     Warns (CancellationWarning) when the quotient loses 3 or more digits.
     """
-    value = _rhs_theorem3_pair(m, z, s, u, v, tol)
-    if _cancels(u, v):
-        _warn_cancellation(u, v)
-    return value
-
-
-def _rhs_theorem3_pair(
-    m: int, z: complex, s: complex, u: complex, v: complex, tol: float = _DEFAULT_PHI_TOL
-) -> complex:
-    """``rhs_theorem3_pair`` without its warning; ``verify`` warns for its own caller."""
     if m < 2:
         raise DomainError("pair form needs m > 1")
     u, v, z, s = complex(u), complex(v), complex(z), complex(s)
     _check_distinct((u, v))
     cf = ClosedForm(
+        gamma_arg=s + m - 1,
         terms=(
-            (1.0 / (math.factorial(m - 2) * (u - v)), s + m - 1, LerchArgs(z, s + m - 1, v)),
-            (-1.0 / (math.factorial(m - 2) * (u - v)), s + m - 1, LerchArgs(z, s + m - 1, u)),
-        )
+            (1.0 / (math.factorial(m - 2) * (u - v)), LerchArgs(z, s + m - 1, v)),
+            (-1.0 / (math.factorial(m - 2) * (u - v)), LerchArgs(z, s + m - 1, u)),
+        ),
     )
-    return cf.value(tol)
+    value = cf.value(tol)
+    if _cancels(u, v):
+        _warn_cancellation(u, v)
+    return value
 
 
 def rhs_theorem3_symmetric(
@@ -156,9 +154,7 @@ def rhs_theorem3_symmetric(
     if m < 1:
         raise DomainError("need m >= 1")
     z, s, u = complex(z), complex(s), complex(u)
-    cf = ClosedForm(
-        terms=((1.0 / math.factorial(m - 1), s + m, LerchArgs(z, s + m, u)),)
-    )
+    cf = ClosedForm(gamma_arg=s + m, terms=((1.0 / math.factorial(m - 1), LerchArgs(z, s + m, u)),))
     return cf.value(tol)
 
 
@@ -180,11 +176,10 @@ def rhs_theorem4(
         raise DomainError("closed form divides by s+m-1; too close to 0")
     pref = 1.0 / math.factorial(m - 2)
     denom = z * (s + m - 1)
-    terms = ((pref, s + m, LerchArgs(z, s + m, u)),)
+    terms = ((pref, LerchArgs(z, s + m, u)),)
     if not is_one(z):
-        terms += ((pref * (1.0 - z) / denom, s + m, LerchArgs(z, s + m - 1, u)),)
-    # gamma(s+m) multiplies the whole bracket, including the pure power term
-    cf = ClosedForm(terms=terms, power_term=(-pref * gamma(s + m) / denom, u, -(s + m - 1)))
+        terms += ((pref * (1.0 - z) / denom, LerchArgs(z, s + m - 1, u)),)
+    cf = ClosedForm(gamma_arg=s + m, terms=terms, power_term=(-pref, denom, u, -(s + m - 1)))
     return cf.value(tol)
 
 
@@ -203,14 +198,14 @@ def rhs_theorem5(us, z: complex, s: complex, tol: float = _DEFAULT_PHI_TOL) -> c
         for j, uj in enumerate(us):
             if j != i:
                 denom *= uj - ui
-        terms.append((1.0 / denom, s + 1, LerchArgs(z, s + 1, ui)))
-    return ClosedForm(terms=tuple(terms)).value(tol)
+        terms.append((1.0 / denom, LerchArgs(z, s + 1, ui)))
+    return ClosedForm(gamma_arg=s + 1, terms=tuple(terms)).value(tol)
 
 
 _RHS = {  # family name -> its closed form at a spec
     FAMILY_DISTINCT: lambda spec: rhs_theorem5(spec.exponents, spec.z, spec.s),
     FAMILY_SYMMETRIC: lambda spec: rhs_theorem3_symmetric(spec.m, spec.z, spec.s, spec.u),
-    FAMILY_F_KERNEL: lambda spec: _rhs_theorem3_pair(spec.m, spec.z, spec.s, *spec.exponents),
+    FAMILY_F_KERNEL: lambda spec: rhs_theorem3_pair(spec.m, spec.z, spec.s, *spec.exponents),
     FAMILY_THEOREM4: lambda spec: rhs_theorem4(spec.m, spec.z, spec.s, spec.u),
 }
 
@@ -336,9 +331,6 @@ def verify(spec: IntegrandSpec, tol: float = 1e-8, qmc: QmcOptions | None = None
             sigma_gap = qmc_mod.sigma_gap(lhs_qmc.estimate, lhs_qmc.std_err, rhs)
 
     passed = bool(rel_gap <= tol) and (lhs_qmc is None or sigma_gap <= qmc_mod.PASS_SIGMA)
-    flagged = spec.rules.difference_quotient and _cancels(*spec.exponents)
-    if flagged:
-        _warn_cancellation(*spec.exponents)
     return VerificationReport(
         spec=spec,
         rhs=rhs,
@@ -349,7 +341,7 @@ def verify(spec: IntegrandSpec, tol: float = 1e-8, qmc: QmcOptions | None = None
         lhs_qmc=lhs_qmc,
         qmc_sigma_gap=sigma_gap,
         qmc_skip_reason=skip,
-        cancellation_flagged=flagged,
+        cancellation_flagged=spec.rules.difference_quotient and _cancels(*spec.exponents),
         pass_=passed,
     )
 
@@ -391,13 +383,7 @@ def verify_dimension_lift(m: int, spec2: IntegrandSpec, tol: float = 1e-8) -> Ve
     if m < 2:
         raise DomainError("need m >= 2")
 
-    lifted = IntegrandSpec(
-        m=m,
-        family=spec2.family,
-        exponents=spec2.exponents,
-        z=spec2.z,
-        s=spec2.s - m + 2,
-    )
+    lifted = replace(spec2, m=m, s=spec2.s - m + 2)
     fact = math.factorial(order(m))
     side2 = reduced_eval(reduce(spec2), _quad_tol(tol))
     side_m = reduced_eval(reduce(lifted), _quad_tol(tol))

@@ -166,10 +166,15 @@ def _direct_series(args: LerchArgs, tol: float, budget: int) -> EvalResult:
         floor = acc.check_floor(tol, n, what)
         first = _first_below(tail_bound, tol - floor, budget + _STOP_MARGIN)
         if first - _STOP_MARGIN > budget:
+            bound = tail_bound(budget)
+            attainable = (
+                f"the attainable tolerance within the budget is about {bound + floor:.3g}"
+                if math.isfinite(bound)
+                else "no tail bound holds yet within the budget"
+            )
             raise ConvergenceError(
                 f"direct series needs more than its budget of {budget} terms to reach "
-                f"tol={tol} for (z={z}, s={s}, u={u}); the attainable tolerance within "
-                f"the budget is about {tail_bound(budget) + floor:.3g}"
+                f"tol={tol} for (z={z}, s={s}, u={u}); {attainable}"
             )
         skip = first - _STOP_MARGIN - n
         if skip <= _STOP_MARGIN:  # too few to be worth another prediction

@@ -228,9 +228,12 @@ class TestReduceCommand:
             {"m": "x", "family": "symmetric", "exponents": [1.3], "z": 0.5, "s": 1},
             {"m": 2.7, "family": "symmetric", "exponents": [1.3], "z": 0.5, "s": 1},
             {"m": True, "family": "symmetric", "exponents": [1.3], "z": 0.5, "s": 1},
+            {"m": 2, "family": "symmetric", "exponents": [True], "z": 0.5, "s": 1},
+            {"m": 2, "family": "symmetric", "exponents": [1.3], "z": 0.5, "s": True},
+            {"m": 2, "family": "symmetric", "exponents": [1.3], "z": {"re": True, "im": 0}, "s": 1},
         ],
         ids=["missing-field", "scalar-exponents", "top-level-array", "non-integer-m",
-             "fractional-m", "bool-m"],
+             "fractional-m", "bool-m", "bool-exponent", "bool-s", "bool-re-part"],
     )
     def test_schema_error_exit_2(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"

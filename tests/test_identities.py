@@ -26,6 +26,7 @@ from lerchint import (
     verify_batch,
     verify_dimension_lift,
 )
+from lerchint import identities
 from lerchint.identities import _quad_tol
 
 
@@ -91,6 +92,24 @@ class TestRhsValues:
             rhs_theorem3_pair(2, 0.5, 1.0, 1.0, 1.0 + 1e-8)
         with pytest.warns(CancellationWarning):
             rhs_theorem3_pair(2, 0.5, 1.0, 1.0, 1.0 + 1e-4)
+
+    @pytest.mark.parametrize("closed_form", [
+        lambda: rhs_theorem3_pair(3, 0.5, 1.0, 2.2, 1.1),
+        lambda: rhs_theorem3_symmetric(3, 0.5, 1.0, 1.3),
+        lambda: rhs_theorem4(3, 0.5, 1.0, 1.3),
+        lambda: rhs_theorem4(3, 1.0, 1.0, 1.3),
+        lambda: rhs_theorem5((1.0, 1.5, 2.0, 2.5), 0.5, 1.0),
+        lambda: verify(IntegrandSpec(m=3, family="theorem4-kernel", exponents=(1.3,), z=0.5, s=1.0)),
+        lambda: verify(IntegrandSpec(m=4, family="distinct-exponents",
+                                     exponents=(1.0, 1.5, 2.0, 2.5), z=-0.5, s=0.5)),
+    ], ids=["pair", "symmetric", "theorem4", "theorem4-z1", "theorem5-m4", "verify-t4", "verify-t5"])
+    def test_one_gamma_per_closed_form(self, monkeypatch, closed_form):
+        # every closed form is gamma(sigma) times a bracket of Phi values
+        calls = []
+        real_gamma = identities.gamma
+        monkeypatch.setattr(identities, "gamma", lambda x: calls.append(x) or real_gamma(x))
+        closed_form()
+        assert len(calls) == 1
 
 
 class TestConsistency:

@@ -275,6 +275,7 @@ def test_steep_negative_s_bound_does_not_overflow():
 @pytest.mark.parametrize("args,fragment", [
     (LerchArgs(0.5, 60.0, 0.01), "attainable tolerance is at least 8.88e+104"),
     (LerchArgs(cmath.exp(1j), 2.5, 1.3), "attainable tolerance within the budget is about 2.36e-10"),
+    (LerchArgs(0.999999, -8.0, 1.0), "no tail bound holds yet within the budget"),
 ])
 def test_unreachable_tolerance_names_the_attainable_one(args, fragment):
     with pytest.raises(ConvergenceError, match=fragment.replace("+", r"\+")):
