@@ -35,11 +35,11 @@ from .identities import (
     verify_batch,
     verify_dimension_lift,
 )
-from .lerch import LerchArgs, phi
+from .lerch import LerchArgs, alt_lerch, hurwitz_zeta, phi
 from .qmc import QmcOptions, QmcResult, halton_point, qmc_estimate
 from .quad1d import KernelTerm, QuadResult, lerch_kernel_integral, reduced_eval
 from .simplex import FAMILIES, IntegrandSpec, ReducedIntegrand, reduce
-from .special import EvalResult, alt_lerch, gamma, hurwitz_zeta
+from .special import EvalResult, gamma
 
 __version__ = "0.1.0"
 

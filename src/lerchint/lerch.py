@@ -7,10 +7,10 @@ enabled fallback and is tagged as such, so identity verification can
 always tell when a value came from the same quadrature it is being
 compared against.
 
-Supported parameter region: Re u > 0 and either |z| <= 1 with z not in
-(1, infinity), requiring Re s > 1 on the unit circle away from z = -1 and
-Re s > 0 at z = -1.  For other z the series has no convergent algorithm
-here and phi raises unless the quadrature fallback is enabled.
+Supported parameter region: Re u > 0, z off (1, infinity), Re s > 1 on the
+unit circle away from z = -1 and Re s > 0 at z = -1; ``LerchArgs`` rejects
+the rest at construction.  ``hurwitz_zeta`` and ``alt_lerch`` are phi at
+z = +-1.  For |z| > 1 phi raises unless the quadrature fallback is enabled.
 
 The direct series has one term budget, ``_SERIES_BUDGET``, wherever it
 runs.  It stops at the first term whose tail bound plus rounding
@@ -37,19 +37,23 @@ from .special import (
     METHOD_DIRECT_SERIES,
     METHOD_QUADRATURE_FALLBACK,
     EvalResult,
-    alt_lerch,
+    _alternating,
+    _euler_maclaurin,
     gamma,
-    hurwitz_zeta,
 )
 
 _SERIES_BUDGET = 2_000_000
-_DISK_EDGE = 1.0 - 1e-14  # phi sums |z| at or above this as a unit-circle point
 _STOP_MARGIN = 8  # terms tested before the predicted stop, against rounding in the bound
+
+
+def _on_circle(az: float) -> bool:
+    """|z| = 1 to within 1e-14: the points ``phi`` sums with the unit circle's tail bound."""
+    return abs(az - 1.0) <= 1e-14
 
 
 @dataclass(frozen=True)
 class LerchArgs:
-    """The parameter triple (z, s, u), validated on construction: each is finite."""
+    """The parameter triple (z, s, u); construction checks every rule of Phi's domain."""
 
     z: complex
     s: complex
@@ -65,6 +69,10 @@ class LerchArgs:
             raise DomainError(f"need Re u > 0, got u={self.u}")
         if is_one(self.z) and self.s.real <= 1.0:
             raise DomainError(f"z=1 needs Re s > 1, got s={self.s}")
+        if is_one(-self.z) and self.s.real <= 0.0:
+            raise DomainError(f"z=-1 needs Re s > 0, got s={self.s}")
+        if _on_circle(abs(self.z)) and not is_one(-self.z) and self.s.real <= 1.0:
+            raise DomainError(f"|z|=1 with z != +-1 needs Re s > 1 for the series, got s={self.s}")
         if beyond_one(self.z):
             raise DomainError(f"z={self.z} lies on the real ray [1, infinity)")
 
@@ -75,8 +83,8 @@ def _series_tail_bound(z: complex, s: complex, u: complex):
     Geometric bound for |z| < 1 (with the (u+n)^(-s) factor bounded through
     Re u + n for Re s >= 0, through |u+n| with a ratio correction for
     Re s < 0) and an integral-comparison bound on the unit circle, where
-    phi admits only Re s > 1.  The split is phi's disk edge, so a circle
-    point whose modulus rounds below 1 never divides by 1 - |z| ~ 1e-16.
+    ``LerchArgs`` admits only Re s > 1.  The split is ``_on_circle``, so a
+    circle point whose modulus rounds below 1 never divides by 1 - |z| ~ 1e-16.
     |z|, the e^(pi |Im s|/2) factor and the branch are fixed per series, so
     they are settled here once.  Infinity signals "cannot bound yet, keep
     summing".
@@ -89,7 +97,7 @@ def _series_tail_bound(z: complex, s: complex, u: complex):
     az = abs(z)
     amp = math.exp(abs(s.imag) * 0.5 * math.pi)
     sr, ur = s.real, u.real
-    if az >= _DISK_EDGE:  # |z| = 1, z != +-1: the integral test, for Re s > 1
+    if _on_circle(az):  # |z| = 1, z != +-1: the integral test, for Re s > 1
         return lambda n_last: amp * (ur + n_last) ** (1.0 - sr) / (sr - 1.0)
     if sr >= 0.0:
         return lambda n_last: amp * (az ** (n_last + 1) * (ur + (n_last + 1)) ** (-sr)) / (1.0 - az)
@@ -206,22 +214,20 @@ def phi(args: LerchArgs, tol: float = 1e-12, *, allow_quadrature: bool = False) 
     """Evaluate Phi at ``args`` to absolute tolerance ``tol``.
 
     Dispatch: z = 1 -> Euler-Maclaurin; z = -1 -> alternating acceleration;
-    |z| < 1, and the unit circle with Re s > 1 -> the direct series, with
-    one budget of ``_SERIES_BUDGET`` terms.  The quadrature fallback never
-    runs unless ``allow_quadrature`` is set, and its result carries the
-    "quadrature-fallback" method tag.
+    the rest of the closed unit disk -> the direct series (one budget of
+    ``_SERIES_BUDGET`` terms).  ``LerchArgs`` checked (z, s, u); phi only
+    refuses |z| > 1 when ``allow_quadrature`` is unset.  The fallback's
+    result carries the "quadrature-fallback" method tag.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    z, s = args.z, args.s
+    z = args.z
     if is_one(z):
-        return hurwitz_zeta(s, args.u, tol)
+        return _euler_maclaurin(args.s, args.u, tol)
     if is_one(-z):
-        return alt_lerch(s, args.u, tol)
+        return _alternating(args.s, args.u, tol)
     az = abs(z)
-    if az < _DISK_EDGE or abs(az - 1.0) <= 1e-14:
-        if az >= _DISK_EDGE and s.real <= 1.0:
-            raise DomainError(f"|z|=1 with z != +-1 needs Re s > 1 for the series, got s={s}")
+    if az < 1.0 or _on_circle(az):
         try:
             return _direct_series(args, tol, _SERIES_BUDGET)
         except ConvergenceError:
@@ -235,3 +241,13 @@ def phi(args: LerchArgs, tol: float = 1e-12, *, allow_quadrature: bool = False) 
         f"no convergent series algorithm for |z|={az:.6g} > 1; "
         "enable the quadrature fallback to evaluate there"
     )
+
+
+def hurwitz_zeta(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
+    """sum_{n>=0} (u+n)^(-s) = Phi(1, s, u), for Re s > 1 and Re u > 0."""
+    return phi(LerchArgs(1.0, s, u), tol)
+
+
+def alt_lerch(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
+    """sum_{n>=0} (-1)^n (u+n)^(-s) = Phi(-1, s, u), for Re s > 0 and Re u > 0."""
+    return phi(LerchArgs(-1.0, s, u), tol)

@@ -1,11 +1,11 @@
 """Complex gamma plus the two unit-circle Lerch evaluations.
 
-``hurwitz_zeta`` handles the z = 1 boundary (sum(1/(u+n)^s)) by truncated
-summation with an Euler-Maclaurin tail, and ``alt_lerch`` handles z = -1
-(sum((-1)^n/(u+n)^s)) by Chebyshev-polynomial acceleration of the
-alternating series.  Both are independent of the direct power series used
-inside the unit disk and of the 1-D quadrature route, which is what lets
-the identity checks compare genuinely different computations.
+``_euler_maclaurin`` handles z = 1 (sum(1/(u+n)^s)) by truncated summation
+with an Euler-Maclaurin tail, and ``_alternating`` z = -1
+(sum((-1)^n/(u+n)^s)) by Chebyshev acceleration.  Both trust the arguments
+``lerch.phi`` passes them, and are independent of the direct power series
+and of the 1-D quadrature route, which lets the identity checks compare
+genuinely different computations.
 
 All complex powers are principal branch; every base that occurs has
 positive real part, so no branch ambiguity arises.
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .compsum import EPS, CompensatedSum
-from .errors import ConvergenceError, DomainError, EvaluationError, PoleError
+from .errors import ConvergenceError, EvaluationError, PoleError
 
 METHOD_DIRECT_SERIES = "direct-series"
 METHOD_EULER_MACLAURIN = "euler-maclaurin"
@@ -140,22 +140,8 @@ _B2K_OVER_FACT = tuple(
 _MAX_HURWITZ_N = 1 << 20
 
 
-def _checked_args(name: str, s: complex, u: complex, tol: float, s_floor: float) -> tuple:
-    """(s, u) as complex numbers once tol > 0, both are finite, Re s > s_floor and Re u > 0."""
-    s, u = complex(s), complex(u)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if not (cmath.isfinite(s) and cmath.isfinite(u)):
-        raise DomainError(f"{name} needs finite s and u, got (s={s}, u={u})")
-    if s.real <= s_floor:
-        raise DomainError(f"{name} needs Re s > {s_floor:g}, got s={s}")
-    if u.real <= 0.0:
-        raise DomainError(f"{name} needs Re u > 0, got u={u}")
-    return s, u
-
-
-def hurwitz_zeta(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
-    """sum_{n>=0} (u+n)^(-s) for Re s > 1, Re u > 0.
+def _euler_maclaurin(s: complex, u: complex, tol: float) -> EvalResult:
+    """sum_{n>=0} (u+n)^(-s) for Re s > 1, Re u > 0, tol > 0, all as ``phi`` checked them.
 
     Truncated sum plus Euler-Maclaurin tail: integral term, half-term, then
     Bernoulli corrections B_2..B_30.  The truncation point N doubles until
@@ -167,8 +153,6 @@ def hurwitz_zeta(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
     raises ConvergenceError naming it.  Near s = 1 the tail ~ N^(1-s)/(s-1)
     is what keeps the floor up.
     """
-    s, u = _checked_args("hurwitz_zeta", s, u, tol, 1.0)
-
     n_terms = max(16, int(1.2 * abs(s)) + 4)
     neg_s = -s
     what = lambda: f"hurwitz_zeta for (s={s}, u={u})"  # noqa: E731
@@ -248,8 +232,8 @@ def _cvz_sum(s: complex, u: complex, n: int) -> complex:
     return acc.value / d
 
 
-def alt_lerch(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
-    """sum_{n>=0} (-1)^n (u+n)^(-s) for Re s > 0, Re u > 0.
+def _alternating(s: complex, u: complex, tol: float) -> EvalResult:
+    """sum_{n>=0} (-1)^n (u+n)^(-s) for Re s > 0, Re u > 0, tol > 0, all as ``phi`` checked them.
 
     Chebyshev-coefficient acceleration: n terms give roughly (3+sqrt(8))^-n
     of the leading magnitude, so ~25 terms suffice at 1e-14.  Each answer is
@@ -257,8 +241,6 @@ def alt_lerch(s: complex, u: complex, tol: float = 1e-12) -> EvalResult:
     estimate, which keeps the bound honest for complex s where the clean
     totally-monotone theory does not literally apply.
     """
-    s, u = _checked_args("alt_lerch", s, u, tol, 0.0)
-
     scale = max(abs(u ** (-s)), 1e-300)
     if not math.isfinite(scale):
         raise EvaluationError(f"leading term u^(-s) overflows for (s={s}, u={u})")
