@@ -183,7 +183,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_constants(args: argparse.Namespace) -> tuple[dict, int]:
     tol = _check_tol(args.tol)
     fn = euler_gamma_via_integral if args.name == "gamma" else ln4_over_pi_via_integral
-    result = fn(args.m, method=args.method, opts=_qmc_options(args))
+    opts = _qmc_options(args) if args.method == "qmc" else None
+    result = fn(args.m, method=args.method, opts=opts)
     payload = result.to_json_dict()
     gap = abs(result.value - result.reference)
     if result.method == "qmc":
@@ -223,7 +224,10 @@ def reduced_from_json_dict(doc: dict) -> ReducedIntegrand:
         )
         for t in doc["terms"]
     )
-    return ReducedIntegrand(terms=terms, prefactor=float(doc.get("prefactor", 1.0)))
+    prefactor = doc.get("prefactor", 1.0)
+    if isinstance(prefactor, bool) or not isinstance(prefactor, (int, float)):
+        raise DomainError(f"prefactor must be a JSON number, got {prefactor!r}")
+    return ReducedIntegrand(terms=terms, prefactor=float(prefactor))
 
 
 def _cmd_reduce(args: argparse.Namespace) -> tuple[dict, int]:

@@ -159,7 +159,9 @@ def _direct_series(args: LerchArgs, tol: float, budget: int) -> EvalResult:
     test; the stop and every number are those of testing each term.  It
     raises ConvergenceError at once when that first N lies beyond
     ``budget``, and as soon as the allowance alone exceeds ``tol``: it never
-    shrinks, so no later N could stop.
+    shrinks, so no later N could stop.  For Re s < 0, where the terms grow
+    before they fall, half of one term ahead, near the largest, bounds the
+    allowance before those terms are summed.
     """
     z, s, u = args.z, args.s, args.u
     if abs(z) == 0.0:
@@ -187,6 +189,12 @@ def _direct_series(args: LerchArgs, tol: float, budget: int) -> EvalResult:
         skip = first - _STOP_MARGIN - n
         if skip <= _STOP_MARGIN:  # too few to be worth another prediction
             break
+        if s.real < 0.0:  # |z|^k |u+k|^(-Re s) peaks near k = -Re s / ln(1/|z|) - Re u
+            log_az = math.log(abs(z))
+            k = min(max(n, round(s.real / log_az - u.real)), n + skip - 1)
+            log_term = k * log_az - (s * cmath.log(u + k)).real
+            # half a term: a safety factor over the rounding of z^k and of the power
+            acc.check_floor(tol, k + 1, what, 0.5 * math.exp(min(log_term, 700.0)))
         acc.extend(itertools.islice(terms, skip))
         n += skip
     for n in range(n, budget + 1):

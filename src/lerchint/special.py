@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .compsum import EPS, CompensatedSum
+from .compsum import CompensatedSum
 from .errors import ConvergenceError, EvaluationError, PoleError
 
 METHOD_DIRECT_SERIES = "direct-series"
@@ -239,11 +239,15 @@ def _alternating(s: complex, u: complex, tol: float) -> EvalResult:
     of the leading magnitude, so ~25 terms suffice at 1e-14.  Each answer is
     recomputed with a longer tableau and the difference is the error
     estimate, which keeps the bound honest for complex s where the clean
-    totally-monotone theory does not literally apply.
+    totally-monotone theory does not literally apply.  Every abs_err is at
+    least 8 eps |u^(-s)|, so a tol below that raises before any tableau.
     """
     scale = max(abs(u ** (-s)), 1e-300)
     if not math.isfinite(scale):
         raise EvaluationError(f"leading term u^(-s) overflows for (s={s}, u={u})")
+    # the allowance 8 eps |u^(-s)| that every tableau's abs_err includes
+    what = lambda: f"alt_lerch for (s={s}, u={u})"  # noqa: E731
+    allowance = CompensatedSum().check_floor(tol, 0, what, 2.0 * scale)
     n = max(8, int(math.log(8.0 * scale / tol) / _CVZ_RATE) + 2)
     n += int(abs(s.imag) + abs(u.imag))  # slower decay off the real axis
 
@@ -253,7 +257,7 @@ def _alternating(s: complex, u: complex, tol: float) -> EvalResult:
         v2 = _cvz_sum(s, u, n + 6)
         work += 2 * n + 6
         diff = abs(v1 - v2)
-        abs_err = max(diff, 8.0 * EPS * scale)
+        abs_err = max(diff, allowance)
         if not (math.isfinite(v2.real) and math.isfinite(v2.imag)):
             raise EvaluationError(f"alt_lerch produced non-finite value (s={s}, u={u})")
         if abs_err <= tol:

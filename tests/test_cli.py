@@ -170,6 +170,16 @@ class TestConstantsCommand:
         assert code == 0
         assert doc["pass"] is True
 
+    def test_qmc_flags_checked_only_for_the_qmc_method(self, capsys):
+        # the reduced method never builds QmcOptions, so it ignores a bad point count
+        argv = ["constants", "--name", "gamma", "--m", "3", "--qmc-points", "100"]
+        code, doc = run_json(capsys, argv + ["--method", "reduced"])
+        assert code == 0
+        assert doc["pass"] is True
+        code, doc = run_json(capsys, argv + ["--method", "qmc"])
+        assert code == 2
+        assert "points must be a power of two" in doc["error"]["message"]
+
 
 class TestReduceCommand:
     def test_symmetric_m3(self, capsys):
@@ -218,6 +228,14 @@ class TestReduceCommand:
         rebuilt = reduced_from_json_dict(doc)
         again = reduced_eval(rebuilt, 1e-10)
         assert again.value.real == pytest.approx(doc["value"]["re"], abs=1e-12)
+
+    @pytest.mark.parametrize("prefactor", [True, "2"], ids=["bool", "string"])
+    def test_prefactor_must_be_a_json_number(self, prefactor):
+        doc = {"prefactor": prefactor, "terms": [{"coeff": 1, "w": 1, "p": 1, "z": 0.5}]}
+        with pytest.raises(DomainError, match="prefactor must be a JSON number"):
+            reduced_from_json_dict(doc)
+        del doc["prefactor"]
+        assert reduced_from_json_dict(doc).prefactor == 1.0
 
     @pytest.mark.parametrize(
         "doc",

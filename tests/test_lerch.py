@@ -13,9 +13,11 @@ from lerchint import (
     lerch_kernel_integral,
     alt_lerch,
     gamma,
+    hurwitz_zeta,
     phi,
 )
-from lerchint.lerch import _direct_series
+from lerchint import lerch
+from lerchint.lerch import _direct_series, _on_circle
 from oracles import direct_series_per_term, phi_du_fd, phi_shift_u
 
 
@@ -53,6 +55,46 @@ class TestArgsValidation:
         with pytest.raises(DomainError):
             LerchArgs(1.0, 0.5, 1.0)
         LerchArgs(1.0, 1.5, 1.0)  # fine
+
+    @pytest.mark.parametrize("args,fragment", [
+        ((-1.0, -0.5, 1.0), "z=-1 needs Re s > 0"),
+        ((-1.0, 0.0, 1.3), "z=-1 needs Re s > 0"),
+        ((cmath.exp(1j), 0.5, 1.0), "needs Re s > 1"),
+        ((cmath.exp(1j), 1.0, 1.0), "needs Re s > 1"),
+    ])
+    def test_unit_circle_rules_rejected_at_construction(self, args, fragment):
+        with pytest.raises(DomainError, match=fragment):
+            LerchArgs(*args)
+
+    @pytest.mark.parametrize("args", [(-1.0, 0.1, 1.0), (cmath.exp(1j), 1.01, 1.0)])
+    def test_unit_circle_edges_accepted(self, args):
+        LerchArgs(*args)
+
+    def test_circle_rule_and_series_dispatch_share_one_test(self):
+        # a modulus that rounds just below 1 is still a circle point, for
+        # LerchArgs's rule and for the series' tail bound alike
+        z = cmath.exp(0.36j)
+        assert abs(z) < 1.0 and _on_circle(abs(z))
+        with pytest.raises(DomainError):
+            LerchArgs(z, 1.0, 1.0)
+        assert not _on_circle(1.0 - 2e-14)
+        LerchArgs(1.0 - 2e-14, 1.0, 1.0)  # in the open disk: any s
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0 + 0.5j, 3.5 - 1.0j, 0.4 + 2.0j])
+@pytest.mark.parametrize("u", [1.0, 0.3, 1.7 + 0.4j])
+@pytest.mark.parametrize("tol", [1e-8, 1e-13])
+def test_boundary_names_are_phi_at_plus_minus_one(s, u, tol):
+    def outcome(fn, *args):  # the result, or the error's type and message
+        try:
+            return fn(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    for z, name in ((-1.0, alt_lerch), (1.0, hurwitz_zeta)):
+        if z == 1.0 and s.real <= 1.0:
+            continue
+        assert outcome(name, s, u, tol) == outcome(phi, LerchArgs(z, s, u), tol)
 
 
 class TestPhiDispatch:
@@ -265,11 +307,22 @@ def test_direct_series_is_bit_identical_to_per_term_loop(region, z, s, u, tol, b
         _direct_series(args, tol, ref.work - 2)
 
 
-def test_steep_negative_s_bound_does_not_overflow():
+def test_steep_negative_s_bound_does_not_overflow(monkeypatch):
     # |u+n|^60 overflows past n ~ 1.4e5, where the stop search looks, while
-    # |z|^n |u+n|^60 is far below 1: the series still reports its floor
+    # |z|^n |u+n|^60 is far below 1: the series still reports its floor, and
+    # from the largest term ahead (near n = 10 878) before summing to it
+    summed = []
+    series_terms = lerch._series_terms
+
+    def counted(*args):
+        for term in series_terms(*args):
+            summed.append(term)
+            yield term
+
+    monkeypatch.setattr(lerch, "_series_terms", counted)
     with pytest.raises(ConvergenceError, match="rounding floor"):
         phi(LerchArgs(0.9945, -60.0, 1.0), 1e-12)
+    assert len(summed) <= 100
 
 
 @pytest.mark.parametrize("args,fragment", [

@@ -206,6 +206,21 @@ def test_convergence_error_is_raised_when_budget_tiny(monkeypatch):
         alt_lerch(1.0, 1.0, tol=1e-14)
 
 
+def test_alternating_fails_fast_below_its_rounding_allowance(monkeypatch):
+    # every abs_err is at least 8 eps |u^(-s)| = 2.71e-11 here, so no tableau
+    # could meet tol; this used to build 8 of them (n = 25 to 200) first
+    import lerchint.special as sp
+
+    tableaux = []
+    cvz_sum = sp._cvz_sum
+    monkeypatch.setattr(sp, "_cvz_sum", lambda *a: tableaux.append(a) or cvz_sum(*a))
+    with pytest.raises(ConvergenceError, match="attainable tolerance is at least 2.71e-11$"):
+        alt_lerch(8.0, 0.3, 1e-13)
+    assert len(tableaux) == 0
+    r = alt_lerch(8.0, 0.3, 3e-11)
+    assert r.abs_err <= 3e-11 and len(tableaux) > 0
+
+
 @pytest.mark.parametrize("func", [hurwitz_zeta, alt_lerch])
 @pytest.mark.parametrize(
     "s,u", [(2.0, math.nan), (2.0, complex(1.0, math.inf)), (math.inf, 1.0), (complex(2.0, math.nan), 1.0)]

@@ -27,7 +27,9 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH = os.path.join(ROOT, "bench")
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import workloads as wl  # noqa: E402  (standard library only; no lerchint)
 
 
 def _flatten(value, name: str, out: dict) -> dict:
@@ -47,9 +49,6 @@ def _flatten(value, name: str, out: dict) -> dict:
 
 def dump(workload: str, seed: int, ops: int) -> None:
     """Run the operations with the lerchint on sys.path; print one JSON list of field dicts."""
-    sys.path.insert(0, BENCH)
-    import workloads as wl
-
     import lerchint
 
     rows = []
@@ -115,8 +114,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("trees", nargs="*", metavar="SRC", help="OLD_SRC NEW_SRC")
-    ap.add_argument("--workload", required=True,
-                    choices=("phi-mix", "verify-reduced", "verify-qmc"))
+    ap.add_argument("--workload", required=True, choices=wl.WORKLOADS)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--ops", type=int, default=35)
     ap.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
