@@ -325,6 +325,17 @@ class TestSeedEnvOverride:
         )
         assert code == 2
 
+    def test_negative_seed_exit_2(self, capsys, monkeypatch):
+        argv = ["verify", "--theorem", "t3-sym", "--m", "2", "--z", "0.5", "--s", "1",
+                "--u", "1", "--qmc"]
+        code, doc = run_json(capsys, argv + ["--seed", "-1"])
+        assert code == 2
+        assert doc == {"error": {"type": "DomainError", "message": "seed must be nonnegative"}}
+        monkeypatch.setenv("LERCHINT_SEED", "-1")
+        code, doc = run_json(capsys, argv)
+        assert code == 2
+        assert doc == {"error": {"type": "DomainError", "message": "seed must be nonnegative"}}
+
 
 _VERIFY_SYM = ["verify", "--theorem", "t3-sym", "--m", "2", "--z", "0.5", "--u", "1.3"]
 _SMALL_QMC = ["--qmc", "--qmc-points", "1024", "--qmc-replicates", "4"]

@@ -1,5 +1,7 @@
 """Halton points, random shifts, determinism."""
 
+import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -154,15 +156,52 @@ class TestQmcEstimate:
 
         n = 2 ** 14 + 100
         r = qmc_estimate(probe, m=2, points=n, replicates=2, seed=3)
-        assert [len(p) for p in seen] == [2 ** 14, 100, 2 ** 14, 100]
+        # block-major: every replicate of the first block, then of the second
+        assert [len(p) for p in seen] == [2 ** 14, 2 ** 14, 100, 100]
         halton = _halton_array(n, 2)
         means = []
         for k, shift in enumerate(np.random.default_rng(3).random((2, 2))):
             want = np.clip((halton + shift) % 1.0, 1e-15, 1 - 1e-15)
-            got = np.concatenate(seen[2 * k:2 * k + 2])
+            got = np.concatenate(seen[k::2])
             assert got.tobytes() == want.tobytes()
-            means.append(complex((want[:, 0] * want[:, 1]).mean()))
+            # a replicate mean is the fsum of its block sums over the point count
+            sums = [(b[:, 0] * b[:, 1]).sum() for b in (want[:2 ** 14], want[2 ** 14:])]
+            means.append(complex(math.fsum(sums) / n, 0.0))  # real values: every imaginary part is 0
         assert r.estimate == complex(np.mean(np.array(means)))
+
+    @pytest.mark.parametrize("points", [2 ** 14, 2 ** 14 + 100])
+    def test_bit_identical_when_replicates_are_split(self, points):
+        # one or two blocks: threads 2, 3 and 8 split each block's replicates into groups
+        f = lambda p: np.exp(1j * p.sum(axis=1)) / (1.0 + p[:, 0])  # noqa: E731
+        ref = qmc_estimate(f, m=3, points=points, replicates=8, seed=11, threads=1)
+        for threads in (2, 3, 8):
+            r = qmc_estimate(f, m=3, points=points, replicates=8, seed=11, threads=threads)
+            assert (r.estimate, r.std_err) == (ref.estimate, ref.std_err)
+
+    def test_one_block_keeps_two_threads_busy(self):
+        # the single block's two replicates run at once: each call waits for the other
+        barrier = threading.Barrier(2, timeout=10)
+
+        def probe(p):
+            barrier.wait()
+            return p[:, 0]
+
+        qmc_estimate(probe, m=2, points=1024, replicates=2, seed=1, threads=2)
+
+    @pytest.mark.parametrize("points", [2 ** 16, 2 ** 18])
+    def test_memory_does_not_grow_with_points(self, points):
+        from lerchint import IntegrandSpec, build_integrand
+
+        spec = IntegrandSpec(m=6, family="symmetric", exponents=(1.3,), z=0.5 + 0.3j, s=1.2 + 0.5j)
+        f = build_integrand(spec)
+        tracemalloc.start()
+        try:
+            qmc_estimate(f, m=6, points=points, replicates=8, seed=1, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's points, shifted points and integrand temporaries: about 4 MB
+        assert peak < 8 * 2 ** 20
 
     def test_determinism_same_seed(self):
         f = lambda p: np.cos(2.5 * p.sum(axis=1))  # noqa: E731
@@ -188,10 +227,24 @@ class TestQmcEstimate:
         with pytest.raises(DomainError):
             qmc_estimate(lambda p: np.ones(len(p)), m=1, points=64, replicates=1, seed=1)
 
-    @pytest.mark.parametrize("kwargs", [{"points": 0}, {"replicates": 1}, {"threads": 0}])
+    @pytest.mark.parametrize("kwargs", [
+        {"points": 0}, {"replicates": 1}, {"threads": 0}, {"seed": -1},
+        {"points": 64.0}, {"replicates": 2.5}, {"threads": 1.5}, {"seed": "1"},
+        {"threads": True}, {"replicates": np.True_},
+    ])
     def test_options_checked_on_construction(self, kwargs):
         with pytest.raises(DomainError):
             QmcOptions(**kwargs)
+
+    def test_options_take_numpy_integers(self):
+        opts = QmcOptions(points=np.int64(512), replicates=np.int32(4), seed=np.uint8(0))
+        assert (opts.points, opts.replicates, opts.seed) == (512, 4, 0)
+
+    def test_estimate_checks_its_options(self):
+        with pytest.raises(DomainError, match="seed must be nonnegative"):
+            qmc_estimate(lambda p: np.ones(len(p)), m=1, points=64, seed=-1)
+        with pytest.raises(DomainError, match="points must be an integer, got 64.0"):
+            qmc_estimate(lambda p: np.ones(len(p)), m=1, points=64.0)
 
     def test_sigma_gap_floor_scales_with_estimate(self):
         assert sigma_gap(4.0, 1e-3, 4.003) == pytest.approx(3.0)

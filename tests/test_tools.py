@@ -6,6 +6,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 import lerchint
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -56,3 +58,54 @@ def test_ab_layer_times_a_tree_against_itself():
     assert lines[1].startswith("old ") and lines[2].startswith("new ")
     assert lines[3].startswith("ratio new/old  median ")
     assert lines[-1] == "results identical"
+
+
+def _miss_rate(*args: str) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, os.path.join(ROOT, "tools", "miss_rate.py"), "--src", SRC, *args]
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+
+
+def test_miss_rate_counts_seeds_and_repeats_byte_for_byte():
+    args = ["symmetric:2:0.5:0:1", "symmetric:2:1:0:1", "symmetric:2:0.5:-0.5:1",
+            "--points", "256", "--replicates", "4", "--seeds", "1-6"]
+    first, second = _miss_rate(*args), _miss_rate(*args)
+    assert first.returncode == 0, first.stdout + first.stderr
+    assert first.stdout == second.stdout
+    lines = first.stdout.splitlines()
+    assert lines[0] == "points 256  replicates 4  seeds 1-6 (6)"
+    assert lines[1] == "spec  miss>3 rate wilson95 t3_tail  miss>4 rate wilson95 t3_tail"
+    for line in lines[2:4]:
+        cols = line.split()
+        assert cols[0] in args
+        (h3, r3, w3, t3), (h4, r4, w4, t4) = cols[1:5], cols[5:9]
+        assert 0 <= int(h4) <= int(h3) <= 6
+        for hits, rate, interval in ((h3, r3, w3), (h4, r4, w4)):
+            lo, hi = map(float, interval.strip("[]").split(","))
+            assert float(rate) == round(int(hits) / 6, 3) and lo <= float(rate) <= hi
+        assert (t3, t4) == ("0.0577", "0.0280")  # P(|T_3| > 3) and P(|T_3| > 4)
+    assert lines[4] == ("symmetric:2:0.5:-0.5:1  skipped: "
+                        "Re s = -0.5 < 0: log factor unbounded at the corner")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["symmetric:2:0.5"], "is not FAMILY:M:Z:S:EXPONENTS"),
+    (["symmetric:2:0.5:0:1", "--replicates", "1"], "need at least 2 replicates"),
+    (["symmetric:2:0.5:0:1", "--seeds", "5-1"], "empty seed range"),
+])
+def test_miss_rate_rejects_bad_arguments(args, message):
+    proc = _miss_rate(*args)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+
+
+def test_miss_rate_t_tail_matches_closed_forms():
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    try:
+        from miss_rate import t_tail
+    finally:
+        sys.path.pop(0)
+    assert math.isclose(t_tail(1.0, 1), 0.5, rel_tol=1e-14)  # Cauchy
+    for k in (0.5, 3.0, 4.0):
+        assert math.isclose(t_tail(k, 2), 1.0 - k / math.sqrt(k * k + 2.0), rel_tol=1e-13)
+    assert math.isclose(t_tail(3.0, 7), 0.019942126131992, rel_tol=1e-12)
+    assert math.isclose(t_tail(4.0, 7), 0.005189913349297, rel_tol=1e-12)
