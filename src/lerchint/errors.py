@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one tolerance check."""
 
 
 class DomainError(ValueError):
@@ -32,3 +32,9 @@ class EvaluationError(RuntimeError):
 
 class CancellationWarning(UserWarning):
     """A difference quotient is close enough to confluence to lose precision."""
+
+
+def check_tol(tol: float) -> None:
+    """Raise DomainError unless tol > 0; a NaN tol fails the comparison and is refused too."""
+    if not tol > 0.0:
+        raise DomainError(f"tol must be > 0, got {tol!r}")

@@ -31,10 +31,8 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
-import numpy as np
-
 from . import qmc as qmc_mod
-from .errors import CancellationWarning, DomainError
+from .errors import CancellationWarning, DomainError, check_tol
 from .lerch import LerchArgs, phi
 from .qmc import QmcOptions
 from .quad1d import QuadResult, is_one, reduced_eval
@@ -229,13 +227,15 @@ def build_integrand(spec: IntegrandSpec):
     column adds, in cumsum's order, and complex distinct exponents enter
     through two real matrix-vector products.
     """
+    import numpy as np
+
     m = spec.m
     z_one = is_one(spec.z)
     z, s = (p.real if p.imag == 0.0 else p for p in (spec.z, spec.s))
     exps = spec.exponents
     if all(e.imag == 0.0 for e in exps):
         exps = tuple(e.real for e in exps)
-    power, partial = spec.rules.numerator(*exps)
+    power, partial = spec.rules.numerator(np, *exps)
     per_coordinate = np.ndim(power) == 1
 
     def f(pts):
@@ -313,7 +313,11 @@ def _qmc_admissible(spec: IntegrandSpec) -> str | None:
 
 
 def verify(spec: IntegrandSpec, tol: float = 1e-8, qmc: QmcOptions | None = None) -> VerificationReport:
-    """Check one identity instance; see the module docstring for the protocol."""
+    """Check one identity instance; see the module docstring for the protocol.
+
+    A tol that is not > 0 raises DomainError before any work.
+    """
+    check_tol(tol)
     rhs = _RHS[spec.family](spec)
     lhs = reduced_eval(reduce(spec), _quad_tol(tol))
     abs_gap, rel_gap = _gaps(rhs, lhs.value)
@@ -347,7 +351,11 @@ def verify(spec: IntegrandSpec, tol: float = 1e-8, qmc: QmcOptions | None = None
 
 
 def verify_batch(specs, tol: float = 1e-8, qmc: QmcOptions | None = None) -> list:
-    """Run verify over many specs, recording failures instead of aborting."""
+    """Run verify over many specs, recording failures instead of aborting.
+
+    A tol that is not > 0 fails every spec alike, so it raises DomainError at once.
+    """
+    check_tol(tol)
     reports = []
     for spec in specs:
         try:
@@ -373,8 +381,10 @@ def verify_dimension_lift(m: int, spec2: IntegrandSpec, tol: float = 1e-8) -> Ve
 
     With the log exponent shifted to s-m+2, the m-dimensional integral
     times (m-2)! (or (m-1)! for the symmetric family) reproduces the m=2
-    value.  Both sides run through the reduced 1-D path.
+    value.  Both sides run through the reduced 1-D path.  A tol that is not
+    > 0 raises DomainError before any work.
     """
+    check_tol(tol)
     if spec2.m != 2:
         raise DomainError(f"base spec must have m=2, got {spec2.m}")
     order = spec2.rules.factorial_order

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import quad1d
 from .compsum import EPS, CompensatedSum
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_tol
 from .quad1d import beyond_one, is_one
 from .special import (
     METHOD_DIRECT_SERIES,
@@ -225,10 +225,10 @@ def phi(args: LerchArgs, tol: float = 1e-12, *, allow_quadrature: bool = False) 
     the rest of the closed unit disk -> the direct series (one budget of
     ``_SERIES_BUDGET`` terms).  ``LerchArgs`` checked (z, s, u); phi only
     refuses |z| > 1 when ``allow_quadrature`` is unset.  The fallback's
-    result carries the "quadrature-fallback" method tag.
+    result carries the "quadrature-fallback" method tag.  A tol that is not
+    > 0 raises DomainError.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     z = args.z
     if is_one(z):
         return _euler_maclaurin(args.s, args.u, tol)

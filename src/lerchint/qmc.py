@@ -10,17 +10,16 @@ mean is the exactly rounded ``math.fsum`` of its block sums, so results
 are bit-identical for a given (f, m, points, replicates, seed) whatever
 the number of worker threads and the order in which blocks finish.
 ``sigma_gap`` and ``PASS_SIGMA`` are the verdict that ``verify`` and the
-CLI both apply.
+CLI both apply.  numpy and the thread pool are imported inside the
+functions that build arrays, not at the top, so that ``import lerchint``
+(which imports this module) and the scalar paths load neither.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .errors import DomainError, EvaluationError
 
@@ -32,13 +31,16 @@ PASS_SIGMA = 3.0  # an estimate passes within this many standard errors
 _BLOCK = 1 << 14  # points per Halton block and per integrand call; bounds a call's memory
 
 
-def _is_integral(value) -> bool:
-    """True for an int or an integer type such as numpy's, False for a bool."""
+def _check_integral(name: str, value) -> None:
+    """DomainError unless value is an int or an integer type such as numpy's, and not a bool."""
     try:
         operator.index(value)
     except TypeError:
-        return False
-    return not isinstance(value, bool)
+        pass
+    else:
+        if not isinstance(value, bool):
+            return
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,9 +54,7 @@ class QmcOptions:
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            value = getattr(self, field.name)
-            if not _is_integral(value):
-                raise DomainError(f"{field.name} must be an integer, got {value!r}")
+            _check_integral(field.name, getattr(self, field.name))
         if self.points < 1:
             raise DomainError("points must be positive")
         if self.replicates < 2:
@@ -105,6 +105,8 @@ def _halton_array(n: int, dims: int, start: int = 1) -> np.ndarray:
     order, so the result is bit-identical to the loop; the leading zero
     digits the loop also visits add an exact 0.0.
     """
+    import numpy as np
+
     if not 1 <= dims <= MAX_DIMS:
         raise DomainError(f"dims must lie in [1, {MAX_DIMS}], got {dims}")
     out = np.empty((dims, n))  # coordinate-major, so each run below is contiguous
@@ -128,6 +130,8 @@ def _halton_array(n: int, dims: int, start: int = 1) -> np.ndarray:
 
 def halton_point(index: int, dims: int) -> tuple[float, ...]:
     """Coordinates of one Halton point, index offset by 1 so none are 0."""
+    _check_integral("index", index)
+    _check_integral("dims", dims)
     if index < 0:
         raise DomainError("index must be nonnegative")
     return tuple(float(c) for c in _halton_array(1, dims, index + 1)[0])
@@ -168,7 +172,11 @@ def qmc_estimate(
     busy.  A block sum does not depend on the grouping, so the result is
     bit-identical for every thread count.
     """
+    import numpy as np
+    from concurrent.futures import ThreadPoolExecutor
+
     opts = QmcOptions(points, replicates, seed, threads)
+    _check_integral("m", m)
     if not 1 <= m <= MAX_DIMS:
         raise DomainError(f"m must lie in [1, {MAX_DIMS}], got {m}")
 

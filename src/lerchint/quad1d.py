@@ -29,6 +29,9 @@ Truncating the nodes where the transformed weight underflows drops
 an endpoint tail of mass about exp(-736 Re w)/Re w (and similarly in the
 exponent p+1 at t=1), negligible for Re w >= 0.05 at any supported
 tolerance; exponents smaller than that are outside the intended domain.
+
+numpy is imported inside the functions that build node arrays, not at the
+top, so that ``import lerchint`` and the scalar Phi paths never load it.
 """
 
 from __future__ import annotations
@@ -39,10 +42,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .compsum import EPS
-from .errors import ConvergenceError, DomainError, EvaluationError
+from .errors import ConvergenceError, DomainError, EvaluationError, check_tol
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_LEVEL = 12
@@ -113,6 +114,8 @@ def _level_arrays(level: int) -> tuple:
     z = 1 denominator lives in exp-space as -ln(1 - t), and the weight is the
     h-free transformed trapezoid weight.
     """
+    import numpy as np
+
     h = 0.5 ** level
     first, step = (0, 1) if level == 0 else (1, 2)
     v = h * np.arange(first, math.asinh(_G_CUTOFF / _HALF_PI) / h + 1.0, step)
@@ -169,6 +172,8 @@ class _NodeBlock(NamedTuple):
 
 
 def _split(bounds: tuple, near: tuple, ell: np.ndarray, cut: float) -> _Split:
+    import numpy as np
+
     counts = tuple(int(np.searchsorted(ell[lo:lo + n], cut)) for (lo, _), n in zip(bounds, near))
     near_at = np.concatenate([np.arange(lo, lo + n) for (lo, _), n in zip(bounds, counts)])
     far_at = np.concatenate([np.arange(lo + n, hi) for (lo, hi), n in zip(bounds, counts)])
@@ -180,6 +185,8 @@ def _split(bounds: tuple, near: tuple, ell: np.ndarray, cut: float) -> _Split:
 @functools.cache
 def _node_block(levels: range) -> _NodeBlock:
     """The one node cache; a block is deterministic, so building one twice at once is harmless."""
+    import numpy as np
+
     per_level = [_level_arrays(level) for level in levels]
     stops = np.cumsum([len(arrays[0]) for arrays in per_level]).tolist()
     bounds = tuple(zip([0] + stops[:-1], stops))
@@ -247,6 +254,8 @@ def _kernel_group(terms: list):
     its own nodes, with one series product per level).  Returns None when
     the terms cancel identically.
     """
+    import numpy as np
+
     z = complex(terms[0].z)
     p0 = min((t.p for t in terms), key=lambda p: p.real)
     w0 = min((t.w for t in terms), key=lambda w: w.real)
@@ -309,8 +318,10 @@ def reduced_eval(reduced, tol: float = DEFAULT_TOL) -> QuadResult:
     ones, and at a level with a non-finite sum, EvaluationError.  Terms whose p
     differ by integers are summed as one function (``_kernel_group``), so a
     sum is accepted when it is integrable at t = 1 even if its terms are not
-    one by one; a sum that is not raises DomainError before any quadrature.
+    one by one; a sum that is not raises DomainError before any quadrature,
+    and so does a tol that is not > 0.
     """
+    check_tol(tol)
     terms = reduced.terms if hasattr(reduced, "terms") else tuple(reduced)
     buckets: list = []  # terms with one z whose p differ by integers
     for term in terms:

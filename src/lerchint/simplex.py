@@ -22,8 +22,6 @@ import numbers
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import DegeneracyError, DomainError
 from .quad1d import KernelTerm, beyond_one, is_one
 
@@ -59,7 +57,9 @@ class Family:
     A reduction carries 1/k! from the simplex volumes, k = factorial_order(m), and k! times
     the m-dimensional integral lifts the m = 2 one (None: neither).  ``numerator`` gives
     ``build_integrand`` the power of prod(x) (an array: one per coordinate) and None or a
-    function of the columns ln(x1...x_j), j < m, whose value multiplies prod(x)^power.
+    function of the columns ln(x1...x_j), j < m, whose value multiplies prod(x)^power.  It
+    takes the numpy module from ``build_integrand`` as its first argument, so this table,
+    which every ``import lerchint`` builds, does not load numpy.
     """
 
     theorem: str  # the CLI's --theorem alias
@@ -78,24 +78,24 @@ FAMILIES = {  # name -> record, in the order the seeded test sweeps draw from
         "t5", None, min_m=1, s_floor=lambda m: 0, factorial_order=None, distinct=True,
         kernels=lambda pref, m, z, s, *us: tuple(
             KernelTerm(pref / _lagrange_denominator(us, i), ui, s, z) for i, ui in enumerate(us)),
-        numerator=lambda *us: (np.array(us) - 1.0, None)),
+        numerator=lambda np, *us: (np.array(us) - 1.0, None)),
     FAMILY_SYMMETRIC: Family(
         "t3-sym", ("u",), min_m=1, s_floor=lambda m: 1 - m, factorial_order=lambda m: m - 1,
         kernels=lambda pref, m, z, s, u: (KernelTerm(pref, u, s + m - 1, z),),
-        numerator=lambda u: (u - 1.0, None)),
+        numerator=lambda np, u: (u - 1.0, None)),
     FAMILY_F_KERNEL: Family(
         "t3-pair", ("u", "v"), min_m=2, s_floor=lambda m: 1 - m, factorial_order=lambda m: m - 2,
         distinct=True, difference_quotient=True,
         kernels=lambda pref, m, z, s, u, v: (
             KernelTerm(c := pref / (u - v), v, s + m - 2, z), KernelTerm(-c, u, s + m - 2, z)),
-        numerator=lambda u, v: (v - 1.0, lambda cols: sum(np.exp((u - v) * col) for col in cols))),
+        numerator=lambda np, u, v: (v - 1.0, lambda cols: sum(np.exp((u - v) * col) for col in cols))),
     # theorem4's numerator m-1 - x1 - x1x2 - ... is the sum of 1 - (partial products)
     FAMILY_THEOREM4: Family(
         "t4", ("u",), min_m=2, s_floor=lambda m: -m, factorial_order=lambda m: m - 2,
         kernels=lambda pref, m, z, s, u: (KernelTerm(pref, u, s + m - 1, z),
                                           KernelTerm(-pref, u, s + m - 2, z),
                                           KernelTerm(pref, u + 1, s + m - 2, z)),
-        numerator=lambda u: (u - 1.0, lambda cols: -sum(np.expm1(col) for col in cols))),
+        numerator=lambda np, u: (u - 1.0, lambda cols: -sum(np.expm1(col) for col in cols))),
 }
 
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .compsum import CompensatedSum
-from .errors import ConvergenceError, EvaluationError, PoleError
+from .errors import ConvergenceError, DomainError, EvaluationError, PoleError
 
 METHOD_DIRECT_SERIES = "direct-series"
 METHOD_EULER_MACLAURIN = "euler-maclaurin"
@@ -89,9 +89,11 @@ def gamma(x: complex) -> complex:
 
     Lanczos sum for Re x >= 0.5, reflection through pi/(sin(pi x) * G(1-x))
     otherwise.  Poles at the nonpositive integers are rejected rather than
-    returning infinities.
+    returning infinities, and so is an x with a non-finite part.
     """
     x = complex(x)
+    if not cmath.isfinite(x):
+        raise DomainError(f"gamma needs a finite argument, got x={x}")
     n_nearest = round(x.real)
     if n_nearest <= 0 and abs(x - n_nearest) <= 1e-12:
         raise PoleError(f"gamma pole at nonpositive integer, x={x}")

@@ -357,6 +357,32 @@ class TestVerify:
         assert abs(rep.rhs - math.gamma(1.04)) <= 1e-13 * math.gamma(1.04)
 
 
+class TestTolerance:
+    # a tol that is not > 0 is the caller's error, not a failed verification
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_entries_reject_tol_before_any_work(self, monkeypatch, tol):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("phi", "gamma", "reduce", "reduced_eval", "build_integrand"):
+            monkeypatch.setattr(identities, name, no_work)
+        spec = IntegrandSpec(2, "symmetric", (1.5,), 0.5, 1.0)
+        qmc = QmcOptions(points=256, replicates=2)
+        for call in (lambda: verify(spec, tol), lambda: verify(spec, tol, qmc),
+                     lambda: verify_batch([spec, spec], tol),
+                     lambda: verify_dimension_lift(3, spec, tol)):
+            with pytest.raises(DomainError, match="tol must be > 0"):
+                call()
+
+    def test_batch_checks_tol_before_reading_specs(self):
+        def specs():
+            raise AssertionError("specs read")
+            yield
+
+        with pytest.raises(DomainError, match="tol must be > 0"):
+            verify_batch(specs(), tol=-1.0)
+
+
 class TestDimensionLift:
     def test_symmetric_m3_term_identical(self):
         base = IntegrandSpec(m=2, family="symmetric", exponents=(1.5,), z=0.5, s=1.0)

@@ -121,6 +121,12 @@ class TestPhiDispatch:
         assert abs(r.value - math.log(2.0)) <= 1e-12
         assert r.method == "alternating-accel"
 
+    @pytest.mark.parametrize("z", [0.5, 1.0, -1.0])
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_tol_not_positive_is_a_domain_error(self, z, tol):
+        with pytest.raises(DomainError, match="tol must be > 0"):
+            phi(LerchArgs(z, 2.0, 1.0), tol)
+
     def test_alternating_domain_error_propagates(self):
         with pytest.raises(DomainError):
             phi(LerchArgs(-1.0, -0.5, 1.0))

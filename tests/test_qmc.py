@@ -40,6 +40,18 @@ class TestHaltonPoint:
             pt = halton_point(idx, 5)
             assert all(0.0 < c < 1.0 for c in pt)
 
+    # a bool is not an index, and a float gets the library's error, not a bare TypeError
+    @pytest.mark.parametrize("index, dims, name", [
+        (True, 2, "index"), (1.5, 2, "index"), ("3", 2, "index"), (np.float64(3.0), 2, "index"),
+        (3, 2.0, "dims"), (3, False, "dims"), (3, np.True_, "dims"),
+    ])
+    def test_index_and_dims_must_be_integers(self, index, dims, name):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            halton_point(index, dims)
+
+    def test_numpy_integers_accepted(self):
+        assert halton_point(np.int64(5), np.int32(3)) == halton_point(5, 3)
+
     def test_dims_limit(self):
         with pytest.raises(DomainError):
             halton_point(0, 21)
@@ -245,6 +257,15 @@ class TestQmcEstimate:
             qmc_estimate(lambda p: np.ones(len(p)), m=1, points=64, seed=-1)
         with pytest.raises(DomainError, match="points must be an integer, got 64.0"):
             qmc_estimate(lambda p: np.ones(len(p)), m=1, points=64.0)
+
+    @pytest.mark.parametrize("m", [2.0, True, np.float64(2.0), "2"])
+    def test_dimension_must_be_an_integer(self, m):
+        with pytest.raises(DomainError, match="m must be an integer"):
+            qmc_estimate(lambda p: np.ones(len(p)), m, 64)
+
+    def test_dimension_takes_numpy_integers(self):
+        f = lambda p: p[:, 0] * p[:, 1]  # noqa: E731
+        assert qmc_estimate(f, np.int64(2), 256) == qmc_estimate(f, 2, 256)
 
     def test_sigma_gap_floor_scales_with_estimate(self):
         assert sigma_gap(4.0, 1e-3, 4.003) == pytest.approx(3.0)

@@ -29,6 +29,7 @@ from lerchint import (
     reduced_eval,
     verify,
 )
+from lerchint import quad1d
 from lerchint.quad1d import _LEVEL_BLOCKS, _NEAR_CUT, _node_block, _taylor
 
 
@@ -124,6 +125,17 @@ class TestReducedEval:
         r = reduced_eval(ReducedIntegrand(terms=()))
         assert r.value == 0j
         assert r.abs_err == 0.0
+
+    @pytest.mark.parametrize("terms", [(), (KernelTerm(1.0, 1.0, 0.0, 0.0),)])
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_tol_not_positive_rejected_before_quadrature(self, monkeypatch, terms, tol):
+        # refused before any node is built, not after all 13 levels at the level cap
+        def no_nodes(levels):
+            raise AssertionError("quadrature started")
+
+        monkeypatch.setattr(quad1d, "_node_block", no_nodes)
+        with pytest.raises(DomainError, match="tol must be > 0"):
+            reduced_eval(ReducedIntegrand(terms=terms), tol=tol)
 
     def test_single_term(self):
         r = reduced_eval(ReducedIntegrand(terms=(KernelTerm(1.0, 1.0, 0.0, 0.0),)))

@@ -158,6 +158,78 @@ def test_import_leaves_scipy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
+def _fresh_python(code: str) -> None:
+    """Run code in a new interpreter with this lerchint first on the path; it must exit 0."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lerchint.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=60, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_scalar_paths_never_load_numpy():
+    # Phi, gamma, the closed forms, reduce and the CLI's phi and reduce are
+    # math/cmath code; numpy and the thread pool load on the first array
+    _fresh_python("""
+import sys
+sys.modules["numpy"] = None  # from here on any numpy import raises ImportError
+import lerchint, lerchint.cli, lerchint.constants, lerchint.identities
+import lerchint.lerch, lerchint.qmc, lerchint.simplex
+from lerchint import (IntegrandSpec, LerchArgs, gamma, phi, reduce, rhs_theorem3_pair,
+                      rhs_theorem3_symmetric, rhs_theorem4, rhs_theorem5)
+methods = {phi(LerchArgs(z, 4.5, 1.3), 1e-10).method  # disk, band, circle, z = 1, z = -1
+           for z in (0.5, 0.95, 1j, 1.0, -1.0)}
+assert methods == {"direct-series", "euler-maclaurin", "alternating-accel"}, methods
+gamma(2.5 + 1j)
+rhs_theorem3_pair(3, 0.5, 1.0, 1.2, 2.3)
+rhs_theorem3_symmetric(2, 0.5, 1.0, 1.5)
+rhs_theorem4(3, 0.5, 1.0, 1.5)
+rhs_theorem5((1.0, 2.0, 3.5), 0.5, 1.0)
+for family, exps in (("distinct-exponents", (1.0, 2.0, 3.5)), ("symmetric", (1.5,)),
+                     ("f-kernel", (1.2, 2.3)), ("theorem4-kernel", (1.5,))):
+    assert reduce(IntegrandSpec(3, family, exps, 0.5, 1.0)).terms
+assert lerchint.cli.main(["phi", "--z", "0.5", "--s", "2.2", "--u", "1.3"]) == 0
+assert lerchint.cli.main(["reduce", "--family", "f-kernel", "--m", "3", "--u", "1.2", "--v", "2.3"]) == 0
+assert sys.modules["numpy"] is None, "numpy was loaded"
+assert "concurrent.futures" not in sys.modules, "concurrent.futures was loaded"
+""")
+
+
+def test_quadrature_loads_numpy_and_qmc_the_thread_pool():
+    _fresh_python("""
+import sys
+from lerchint import IntegrandSpec, QmcOptions, verify
+spec = IntegrandSpec(2, "symmetric", (1.5,), 0.5, 1.0)
+assert "numpy" not in sys.modules
+assert verify(spec).pass_
+assert "numpy" in sys.modules and "concurrent.futures" not in sys.modules
+assert verify(spec, qmc=QmcOptions(points=1024, replicates=4)).lhs_qmc is not None
+assert "concurrent.futures" in sys.modules
+""")
+
+
+def test_no_module_imports_numpy_or_a_thread_pool_at_import_time():
+    # the imports that load them sit inside the functions that build arrays;
+    # one at module level would put numpy back into every import lerchint
+    pkg = pathlib.Path(lerchint.__file__).parent
+    for path in sorted(pkg.glob("*.py")):
+        pending = list(ast.parse(path.read_text(encoding="utf-8")).body)
+        while pending:
+            node = pending.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue  # runs on call, not on import
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+                pending.extend(ast.iter_child_nodes(node))
+            for name in names:
+                assert name.split(".")[0] not in ("numpy", "concurrent"), (
+                    f"{path.name}:{node.lineno} imports {name} at import time")
+
+
 def test_runtime_source_never_mentions_test_only_libraries():
     # a lazy import inside a function escapes the sys.modules check above
     pkg = pathlib.Path(lerchint.__file__).parent

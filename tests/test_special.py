@@ -79,6 +79,15 @@ class TestGamma:
         with pytest.raises(PoleError):
             gamma(x)
 
+    # one library error for a non-finite part, whichever part it is
+    @pytest.mark.parametrize("x", [
+        math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(1.0, math.inf),
+        complex(math.nan, 0.0), complex(-math.inf, 1.0),
+    ])
+    def test_non_finite_argument_is_a_domain_error(self, x):
+        with pytest.raises(DomainError, match="finite argument"):
+            gamma(x)
+
 
 class TestHurwitzZeta:
     def test_basel(self):
